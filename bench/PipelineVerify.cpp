@@ -17,7 +17,7 @@
 
 #include "BenchUtil.h"
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "support/TextTable.h"
 
 using namespace sdsp;
@@ -39,8 +39,8 @@ void printVerified(std::ostream &OS) {
        {"kernel", "n (transitions)", "start", "repeat", "rate", "verified"})
     T.cell(H);
   for (const std::string &Id : livermoreIds()) {
-    DataflowGraph G = compileKernel(Id);
-    auto CL = runPipeline(std::move(G), verifiedOptions());
+    CompilationSession Session;
+    auto CL = Session.compile(compileKernel(Id), verifiedOptions());
     T.startRow();
     T.cell(Id);
     if (!CL) {
@@ -61,8 +61,9 @@ void benchPipelineVerify(benchmark::State &State, const std::string &Id) {
   DataflowGraph G = compileKernel(Id);
   PipelineOptions Opts = verifiedOptions();
   for (auto _ : State) {
-    DataflowGraph Copy = G;
-    auto CL = runPipeline(std::move(Copy), Opts);
+    // A fresh session per iteration: every stage computes, none hits.
+    CompilationSession Session;
+    auto CL = Session.compile(DataflowGraph(G), Opts);
     if (!CL) {
       State.SkipWithError(CL.status().message().c_str());
       return;

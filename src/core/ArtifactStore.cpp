@@ -70,6 +70,12 @@ DiskStore::DiskStore(Config C) : Root(std::move(C.Dir)), MaxBytes(C.MaxBytes) {
   loadIndex();
 }
 
+DiskStore::~DiskStore() {
+  std::lock_guard<std::mutex> Lock(M);
+  if (IndexDirty)
+    writeIndexLocked();
+}
+
 std::string DiskStore::objectPath(const std::string &Digest) const {
   return (fs::path(Root) / "objects" / Digest.substr(0, 2) / Digest.substr(2))
       .string();
@@ -173,6 +179,8 @@ void DiskStore::writeIndexLocked() {
   fs::rename(Tmp, fs::path(Root) / "index", EC);
   if (EC)
     fs::remove(Tmp, EC);
+  else
+    IndexDirty = false;
 }
 
 void DiskStore::forgetLocked(const std::string &Digest) {
@@ -270,10 +278,11 @@ std::optional<ArtifactEntry> DiskStore::get(const ArtifactKey &K,
 
   std::lock_guard<std::mutex> Lock(M);
   auto It = ByDigest.find(Digest);
-  if (It != ByDigest.end()) {
+  if (It != ByDigest.end() && std::next(It->second) != Lru.end()) {
     // Refresh recency: move to the back (most recent) of the LRU list.
+    // The index is written lazily, so a warm hit costs no disk write.
     Lru.splice(Lru.end(), Lru, It->second);
-    writeIndexLocked();
+    IndexDirty = true;
   }
   ++Count.Hits;
   return ArtifactEntry{std::move(Value), ContentHash, Bytes};

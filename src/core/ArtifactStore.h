@@ -14,7 +14,9 @@
 ///                   content-hashed entries keyed by (pass, input
 ///                   hashes, options fingerprint).
 ///   MemoryStore     the in-process sharded LRU table
-///                   (core/SharedArtifactCache.h), unchanged semantics.
+///                   (core/SharedArtifactCache.h); every cached session
+///                   interns through one, its own private one when the
+///                   caller supplies no store.
 ///   DiskStore       a persistent content-addressed object store under
 ///                   a directory (`sdspc --store-dir`, SDSP_STORE_DIR),
 ///                   shared by every process pointed at it over time —
@@ -94,10 +96,11 @@ struct PublishResult {
   uint64_t DiskBytes = 0;
 };
 
-/// The compute-once store protocol (see SharedArtifactCache.h for the
-/// full concurrency contract).  lookupOrLock() either returns a
-/// published entry (hit) or makes the caller the key's owner (miss);
-/// the owner must publish() or abandon() exactly once.  \p Faults, when
+/// The compute-once store protocol (see MemoryStore in
+/// core/SharedArtifactCache.h for the full concurrency contract).
+/// lookupOrLock() either returns a published entry (hit) or makes the
+/// caller the key's owner (miss); the owner must publish() or abandon()
+/// exactly once.  \p Faults, when
 /// non-null, arms the store's fault sites for the calling scope.
 class ArtifactStore {
 public:
@@ -116,6 +119,8 @@ public:
 ///                                     the key digest (16 hex chars)
 ///   <dir>/index                       LRU order + sizes, rewritten
 ///                                     atomically after each mutation
+///                                     and, when hits reordered it, on
+///                                     destruction
 ///
 /// Objects are published atomically (temp file + rename), so a crashed
 /// or killed writer never leaves a half-written object behind a live
@@ -142,6 +147,8 @@ public:
   };
 
   explicit DiskStore(Config C);
+  /// Persists the recency order hits left in memory (see get()).
+  ~DiskStore();
 
   DiskStore(const DiskStore &) = delete;
   DiskStore &operator=(const DiskStore &) = delete;
@@ -149,7 +156,9 @@ public:
   /// Reads, verifies and decodes the object for \p K.  Any failure —
   /// read fault, missing file, bad magic, key or checksum mismatch,
   /// malformed payload, content-hash mismatch after decode — is a miss;
-  /// corrupt objects are additionally unlinked and counted.
+  /// corrupt objects are additionally unlinked and counted.  A hit
+  /// refreshes recency in memory only; the index reaches disk with the
+  /// next put(), corrupt-object removal, or the destructor.
   std::optional<ArtifactEntry> get(const ArtifactKey &K,
                                    FaultContext *Faults);
 
@@ -181,9 +190,9 @@ private:
   /// parse problem falls back to scanning objects/ (sorted by digest,
   /// so rebuild order is deterministic).
   void loadIndex();
-  /// Rewrites <dir>/index from Lru (atomic temp + rename).  Best
-  /// effort: an unwritable index costs a rebuild on the next open, not
-  /// correctness.
+  /// Rewrites <dir>/index from Lru (atomic temp + rename) and clears
+  /// IndexDirty.  Best effort: an unwritable index costs a rebuild on
+  /// the next open, not correctness.
   void writeIndexLocked();
   /// Unlinks LRU objects until TotalBytes fits the budget.
   void evictLocked();
@@ -199,6 +208,8 @@ private:
   /// Digest -> position in Lru.
   std::unordered_map<std::string, std::list<IndexEntry>::iterator> ByDigest;
   uint64_t TotalBytes = 0;
+  /// Hits reordered Lru since the index was last written.
+  bool IndexDirty = false;
   Counters Count;
 };
 

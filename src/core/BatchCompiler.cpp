@@ -65,6 +65,7 @@ void accumulateTrace(PipelineTrace &Into, const PipelineTrace &From) {
     A.CacheHits += B.CacheHits;
     A.Failures += B.Failures;
     A.WallSeconds += B.WallSeconds;
+    A.HitSeconds += B.HitSeconds;
     A.ArtifactBytes += B.ArtifactBytes;
   }
 }
@@ -72,7 +73,7 @@ void accumulateTrace(PipelineTrace &Into, const PipelineTrace &From) {
 } // namespace
 
 BatchCompiler::BatchCompiler(BatchOptions O)
-    : Opts(O), Cache(SharedArtifactCache::Config{
+    : Opts(O), Cache(MemoryStore::Config{
                     /*Shards=*/16, /*MaxBytes=*/O.MaxCacheBytes}) {}
 
 BatchOutcome BatchCompiler::run(const std::vector<BatchJob> &Jobs,

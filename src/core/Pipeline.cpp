@@ -8,7 +8,6 @@
 #include "core/Pipeline.h"
 
 #include "core/ScheduleDerivation.h"
-#include "core/Session.h"
 #include "petri/Invariants.h"
 #include "petri/MarkedGraph.h"
 
@@ -16,24 +15,6 @@
 #include <functional>
 
 using namespace sdsp;
-
-// The stage orchestration lives in core/Session.cpp since the
-// compilation-session refactor; runPipeline() is the retained one-call
-// form.  A throwaway session means no caching across calls — drivers
-// that sweep options should hold a CompilationSession instead.
-
-Expected<CompiledLoop> sdsp::runPipeline(const std::string &Source,
-                                         const PipelineOptions &Opts,
-                                         DiagnosticEngine *Diags) {
-  CompilationSession Session;
-  return Session.compile(Source, Opts, Diags);
-}
-
-Expected<CompiledLoop> sdsp::runPipeline(DataflowGraph G,
-                                         const PipelineOptions &Opts) {
-  CompilationSession Session;
-  return Session.compile(std::move(G), Opts);
-}
 
 Status sdsp::verifyCompiledLoop(const CompiledLoop &CL,
                                 const PipelineOptions &Opts) {

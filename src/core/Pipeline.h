@@ -6,18 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one-call orchestration API over the paper's pipeline:
+/// The options, result and checks of the paper's pipeline:
 ///
 ///   source --frontend--> dataflow graph --[opt, unroll]-->
 ///   SDSP --[storage minimization]--> SDSP-PN --rate analysis-->
 ///   [SCP model] --earliest firing--> cyclic frustum --> schedule
 ///
-/// Since the compilation-session refactor the stages live in
-/// core/Session.h as registered passes over immutable, content-hashed
-/// artifacts; runPipeline() is a thin wrapper that runs a throwaway
-/// CompilationSession.  Sweeps that revisit upstream stages (benches,
-/// ablations, tools) should hold a session of their own and let its
-/// artifact cache reuse shared prefixes — see docs/ARCHITECTURE.md.
+/// The stages run as registered passes of a CompilationSession
+/// (core/Session.h) over immutable, content-hashed artifacts;
+/// CompilationSession::compile() is the one-call driver.  Sweeps that
+/// revisit upstream stages (benches, ablations, tools) hold one session
+/// and let its artifact cache reuse shared prefixes — see
+/// docs/ARCHITECTURE.md.
 ///
 /// Every stage validates its inputs and returns a stage-tagged Status
 /// instead of asserting, so a Release-built driver can neither crash
@@ -147,18 +147,6 @@ struct CompiledLoop {
 
   const PetriNet &machineNet() const { return Scp ? Scp->Net : Pn->Net; }
 };
-
-/// Compiles \p Source end to end.  Frontend problems are reported to
-/// \p Diags (when given) and also summarized in the returned Status;
-/// later stages fail with their own stage tag.
-Expected<CompiledLoop> runPipeline(const std::string &Source,
-                                   const PipelineOptions &Opts,
-                                   DiagnosticEngine *Diags = nullptr);
-
-/// Same, starting from an already-built dataflow graph (validated, not
-/// trusted).
-Expected<CompiledLoop> runPipeline(DataflowGraph G,
-                                   const PipelineOptions &Opts);
 
 /// Cross-stage self-checks over whatever \p CL contains:
 ///   - the SDSP-PN is a live marked graph, structurally persistent and

@@ -10,6 +10,7 @@
 #include "codegen/Codegen.h"
 #include "core/ArtifactStore.h"
 #include "core/ScheduleDerivation.h"
+#include "core/SharedArtifactCache.h"
 #include "core/StorageOptimizer.h"
 #include "dataflow/Unroll.h"
 #include "dataflow/Validate.h"
@@ -19,7 +20,6 @@
 #include "petri/Pnml.h"
 #include "petri/SimdDispatch.h"
 #include "support/FaultInjection.h"
-#include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/TextTable.h"
 #include "support/Trace.h"
@@ -216,7 +216,7 @@ void PipelineTrace::printTable(std::ostream &OS) const {
   TextTable T;
   T.startRow();
   for (const char *H : {"pass", "inputs", "output", "runs", "hits", "fail",
-                        "wall ms", "bytes"})
+                        "wall ms", "hit ms", "bytes"})
     T.cell(H);
   for (const Row &R : Passes) {
     if (R.Stats.Invocations == 0)
@@ -229,6 +229,7 @@ void PipelineTrace::printTable(std::ostream &OS) const {
     T.cell(R.Stats.CacheHits);
     T.cell(R.Stats.Failures);
     T.cell(R.Stats.WallSeconds * 1e3, 3);
+    T.cell(R.Stats.HitSeconds * 1e3, 3);
     T.cell(R.Stats.ArtifactBytes);
   }
   T.print(OS);
@@ -262,6 +263,7 @@ void PipelineTrace::writeJson(std::ostream &OS) const {
        << ", \"cache_hits\": " << R.Stats.CacheHits
        << ", \"failures\": " << R.Stats.Failures
        << ", \"wall_seconds\": " << formatSeconds(R.Stats.WallSeconds)
+       << ", \"hit_seconds\": " << formatSeconds(R.Stats.HitSeconds)
        << ", \"artifact_bytes\": " << R.Stats.ArtifactBytes << "}";
   }
   OS << "\n  ]\n}\n";
@@ -270,13 +272,6 @@ void PipelineTrace::writeJson(std::ostream &OS) const {
 //===----------------------------------------------------------------------===//
 // CompilationSession
 //===----------------------------------------------------------------------===//
-
-size_t CompilationSession::CacheKeyHash::operator()(const CacheKey &K) const {
-  size_t Seed = K.Pass;
-  hashCombine(Seed, static_cast<size_t>(K.Inputs));
-  hashCombine(Seed, static_cast<size_t>(K.Options));
-  return Seed;
-}
 
 CompilationSession::CompilationSession(SessionConfig Config)
     : Store(Config.Store), Trace(Config.Trace),
@@ -287,8 +282,24 @@ CompilationSession::CompilationSession(SessionConfig Config)
     const char *E = std::getenv("SDSP_DISABLE_ARTIFACT_CACHE");
     CacheOn = !(E && *E && std::string_view(E) != "0");
   }
-  if (!CacheOn)
+  if (!CacheOn) {
     Store = nullptr; // A disabled cache is disabled at every scope.
+  } else if (!Store) {
+    // A session is single-threaded: one shard, one lock.
+    OwnStore = std::make_unique<MemoryStore>(MemoryStore::Config{1});
+    Store = OwnStore.get();
+  }
+}
+
+CompilationSession::~CompilationSession() = default;
+
+size_t CompilationSession::cacheEntries() const {
+  return OwnStore ? OwnStore->entries() : 0;
+}
+
+void CompilationSession::clearCache() {
+  if (OwnStore)
+    OwnStore->clear();
 }
 
 PipelineTrace CompilationSession::trace() const {
@@ -307,10 +318,12 @@ namespace {
 /// Releases an ArtifactStore key the session owns unless the
 /// computation published it — so waiters on other threads always wake,
 /// even if the compute path throws.
-class SharedKeyGuard {
+class KeyGuard {
 public:
-  SharedKeyGuard(ArtifactStore &C, const ArtifactKey &K) : C(C), K(K) {}
-  ~SharedKeyGuard() {
+  KeyGuard(ArtifactStore &C, const ArtifactKey &K) : C(C), K(K) {}
+  KeyGuard(const KeyGuard &) = delete;
+  KeyGuard &operator=(const KeyGuard &) = delete;
+  ~KeyGuard() {
     if (!Published)
       C.abandon(K);
   }
@@ -349,52 +362,58 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
   if (Faults)
     if (Status St = Faults->checkpoint(passSite(K)); !St)
       return notePassFailure(Trace, PS, std::move(St));
-  if (CacheOn && Store) {
+  // With the cache on, lookupOrLock either answers from the store (the
+  // memory tier, or — through a TieredStore — a persisted disk object)
+  // or makes this session the key's owner (compute-once across every
+  // session sharing the store; see core/ArtifactStore.h).  With it off
+  // there is no store and the pass just computes.
+  ArtifactKey SK{static_cast<uint32_t>(K), InputsHash, OptionsFp};
+  std::optional<KeyGuard> Guard;
+  if (Store) {
     if (Faults)
       if (Status St = Faults->checkpoint("cache:lookup"); !St)
         return notePassFailure(Trace, PS, std::move(St));
-    // Shared scope: lookupOrLock either answers from the store (the
-    // memory tier, or — through a TieredStore — a persisted disk
-    // object) or makes this session the key's owner (compute-once
-    // across all threads; see core/ArtifactStore.h).
-    ArtifactKey SK{static_cast<uint32_t>(K), InputsHash, OptionsFp};
+    Clock::time_point H0 = Clock::now();
     if (std::optional<ArtifactEntry> E = Store->lookupOrLock(SK, Faults)) {
+      PS.HitSeconds += secondsSince(H0);
       ++PS.CacheHits;
       if (Trace) {
         Trace->endSpan();
-        Trace->argStr("resolved", "shared-hit");
+        Trace->argStr("resolved", "hit");
       }
       return ArtifactRef<T>(std::static_pointer_cast<const T>(E->Value),
                             E->ContentHash);
     }
-    SharedKeyGuard Guard(*Store, SK);
-    Clock::time_point T0 = Clock::now();
-    Expected<T> R = Compute();
-    // The owner-death fault site: firing "cache:publish" after a
-    // successful compute makes this session die holding the key, so
-    // the Guard's abandon hands ownership to a waiter (the
-    // SharedArtifactCache handoff protocol under test).
-    Status PublishSt = Status::ok();
-    if (R && Faults)
-      PublishSt = Faults->checkpoint("cache:publish");
-    if (!R || !PublishSt) {
-      PS.WallSeconds += secondsSince(T0);
-      if (Trace) {
-        Trace->instant("cache-abandon", "cache");
-        Trace->argStr("pass", Id);
-      }
-      // Guard abandons: failures are never cached.
-      return notePassFailure(Trace, PS,
-                             !R ? R.status() : std::move(PublishSt));
-    }
-    auto Ptr = std::make_shared<const T>(std::move(*R));
-    uint64_t Hash = artifactHash(*Ptr);
-    uint64_t Bytes = artifactSizeBytes(*Ptr);
+    Guard.emplace(*Store, SK);
+  }
+  Clock::time_point T0 = Clock::now();
+  Expected<T> R = Compute();
+  // The owner-death fault site: firing "cache:publish" after a
+  // successful compute makes this session die holding the key, so
+  // the Guard's abandon hands ownership to a waiter (the MemoryStore
+  // handoff protocol under test).
+  Status PublishSt = Status::ok();
+  if (R && Store && Faults)
+    PublishSt = Faults->checkpoint("cache:publish");
+  if (!R || !PublishSt) {
     PS.WallSeconds += secondsSince(T0);
-    PS.ArtifactBytes += Bytes;
+    if (Store && Trace) {
+      Trace->instant("cache-abandon", "cache");
+      Trace->argStr("pass", Id);
+    }
+    // Guard abandons: failures are never cached.
+    return notePassFailure(Trace, PS,
+                           !R ? R.status() : std::move(PublishSt));
+  }
+  auto Ptr = std::make_shared<const T>(std::move(*R));
+  uint64_t Hash = artifactHash(*Ptr);
+  uint64_t Bytes = artifactSizeBytes(*Ptr);
+  PS.WallSeconds += secondsSince(T0);
+  PS.ArtifactBytes += Bytes;
+  if (Store) {
     PublishResult PubRes =
         Store->publish(SK, ArtifactEntry{Ptr, Hash, Bytes}, Faults);
-    Guard.markPublished();
+    Guard->markPublished();
     if (Trace) {
       Trace->instant("cache-publish", "cache");
       Trace->argStr("pass", Id);
@@ -404,37 +423,8 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
         Trace->argStr("pass", Id);
         Trace->argU64("bytes", PubRes.DiskBytes);
       }
-      Trace->endSpan();
-      Trace->argStr("resolved", "computed");
-    }
-    return ArtifactRef<T>(std::move(Ptr), Hash);
-  }
-  CacheKey Key{static_cast<uint32_t>(K), InputsHash, OptionsFp};
-  if (CacheOn) {
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++PS.CacheHits;
-      if (Trace) {
-        Trace->endSpan();
-        Trace->argStr("resolved", "hit");
-      }
-      return ArtifactRef<T>(
-          std::static_pointer_cast<const T>(It->second.Value),
-          It->second.ContentHash);
     }
   }
-  Clock::time_point T0 = Clock::now();
-  Expected<T> R = Compute();
-  if (!R) {
-    PS.WallSeconds += secondsSince(T0);
-    return notePassFailure(Trace, PS, R.status());
-  }
-  auto Ptr = std::make_shared<const T>(std::move(*R));
-  uint64_t Hash = artifactHash(*Ptr);
-  PS.WallSeconds += secondsSince(T0);
-  PS.ArtifactBytes += artifactSizeBytes(*Ptr);
-  if (CacheOn)
-    Cache.emplace(Key, CacheEntry{Ptr, Hash});
   if (Trace) {
     Trace->endSpan();
     Trace->argStr("resolved", "computed");

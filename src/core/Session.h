@@ -15,15 +15,18 @@
 ///
 /// A CompilationSession runs each stage as a *registered pass* with
 /// declared inputs and outputs over immutable, content-hashed artifacts
-/// (ArtifactRef<T>).  Results are interned in a session-scoped cache
-/// keyed by (pass, input content hashes, options fingerprint), so a
-/// parameter sweep — SCP depths, unroll factors, choice policies —
-/// recomputes only the stages whose inputs or options actually changed:
-/// an l = 1..8 SCP ablation lowers, builds the SDSP, and translates the
-/// SDSP-PN exactly once.  Every pass records wall time, invocation and
-/// cache-hit counters, and produced-artifact bytes into a PipelineTrace
-/// that `sdspc --timings` prints and tools/benchreport.py distills into
-/// BENCH_passes.json.
+/// (ArtifactRef<T>).  Results are interned in an ArtifactStore
+/// (core/ArtifactStore.h) keyed by (pass, input content hashes, options
+/// fingerprint), so a parameter sweep — SCP depths, unroll factors,
+/// choice policies — recomputes only the stages whose inputs or options
+/// actually changed: an l = 1..8 SCP ablation lowers, builds the SDSP,
+/// and translates the SDSP-PN exactly once.  There is one cache
+/// protocol: a session given no store owns a private MemoryStore, and
+/// batch jobs or the sdspd service hand it a shared MemoryStore or
+/// TieredStore instead.  Every pass records wall time, hit-path time,
+/// invocation and cache-hit counters, and produced-artifact bytes into
+/// a PipelineTrace that `sdspc --timings` prints and
+/// tools/benchreport.py distills into BENCH_passes.json.
 ///
 /// The cache is semantically invisible: pipeline outputs are
 /// byte-identical with it enabled or disabled (tests/SessionTest.cpp
@@ -32,9 +35,8 @@
 /// (the cache-equivalence CI job diffs sdspc output both ways).
 /// Failures are never cached.
 ///
-/// The one-call runPipeline() of core/Pipeline.h remains as a thin
-/// wrapper that builds a throwaway session; docs/ARCHITECTURE.md
-/// documents the pass graph, artifact types, and hashing scheme.
+/// docs/ARCHITECTURE.md documents the pass graph, artifact types, and
+/// hashing scheme.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +53,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sdsp {
@@ -124,6 +125,9 @@ struct PassStats {
   uint64_t CacheHits = 0;   ///< Calls answered from the cache.
   uint64_t Failures = 0;    ///< Calls that returned an error.
   double WallSeconds = 0;   ///< Time spent actually computing (misses).
+  /// Time spent in the store's lookupOrLock on hits — through a
+  /// TieredStore this includes the disk read and decode.
+  double HitSeconds = 0;
   uint64_t ArtifactBytes = 0; ///< Approximate bytes of computed artifacts.
 };
 
@@ -156,6 +160,7 @@ struct PipelineTrace {
 
 class ArtifactStore;
 class FaultContext;
+class MemoryStore;
 class TraceTrack;
 
 /// Session construction knobs.
@@ -163,12 +168,12 @@ struct SessionConfig {
   /// Tri-state: unset honors SDSP_DISABLE_ARTIFACT_CACHE (any value
   /// other than empty or "0" disables); set forces the cache on/off.
   std::optional<bool> EnableCache;
-  /// When set, pass results are interned in this shared artifact store
-  /// (core/ArtifactStore.h) instead of the session-private map: a
-  /// MemoryStore shares work across concurrent sessions — one per batch
-  /// job — and a TieredStore additionally persists artifacts across
-  /// processes (the sdspd service).  The caller keeps ownership; the
-  /// store must outlive the session.  Ignored while the cache is
+  /// When set, pass results are interned in this artifact store
+  /// (core/ArtifactStore.h) instead of the session's own MemoryStore:
+  /// a shared MemoryStore shares work across concurrent sessions — one
+  /// per batch job — and a TieredStore additionally persists artifacts
+  /// across processes (the sdspd service).  The caller keeps ownership;
+  /// the store must outlive the session.  Ignored while the cache is
   /// disabled (EnableCache / environment).
   ArtifactStore *Store = nullptr;
   /// When set, every pass run is recorded as a span on this track
@@ -275,18 +280,21 @@ struct FrustumOptions {
 class CompilationSession {
 public:
   explicit CompilationSession(SessionConfig Config = {});
+  ~CompilationSession();
 
   CompilationSession(const CompilationSession &) = delete;
   CompilationSession &operator=(const CompilationSession &) = delete;
 
   bool cacheEnabled() const { return CacheOn; }
-  /// The shared artifact store this session interns into, or null when
-  /// it uses its private map.
+  /// The artifact store this session interns into — the caller's
+  /// SessionConfig::Store or the session's own MemoryStore — or null
+  /// while the cache is disabled.
   ArtifactStore *store() const { return Store; }
-  /// Number of artifacts interned in the session-private map (always 0
-  /// when a shared cache is attached).
-  size_t cacheEntries() const { return Cache.size(); }
-  void clearCache() { Cache.clear(); }
+  /// Number of artifacts interned in the session's own store (always 0
+  /// when the caller supplied one).
+  size_t cacheEntries() const;
+  /// Drops every artifact interned in the session's own store.
+  void clearCache();
 
   /// Instrumentation for one pass.
   const PassStats &passStats(PassKind K) const {
@@ -409,35 +417,24 @@ public:
                 const FrustumOptions &FO);
 
   //===--------------------------------------------------------------===//
-  // One-call drivers (the runPipeline equivalents; same stage order,
-  // error precedence, and --verify semantics as before the refactor).
+  // One-call drivers: frontend -> storage -> petri -> frustum ->
+  // schedule with stage-tagged errors (the core/Pipeline.h contract)
+  // and optional --verify.
   //===--------------------------------------------------------------===//
 
+  /// Compiles \p Source end to end.  Frontend problems are reported to
+  /// \p Diags (when given) and also summarized in the returned Status;
+  /// later stages fail with their own stage tag.
   Expected<CompiledLoop> compile(const std::string &Source,
                                  const PipelineOptions &Opts,
                                  DiagnosticEngine *Diags = nullptr);
 
+  /// Same, starting from an already-built dataflow graph (validated, not
+  /// trusted).
   Expected<CompiledLoop> compile(DataflowGraph G,
                                  const PipelineOptions &Opts);
 
 private:
-  struct CacheKey {
-    uint32_t Pass = 0;
-    uint64_t Inputs = 0;
-    uint64_t Options = 0;
-    friend bool operator==(const CacheKey &A, const CacheKey &B) {
-      return A.Pass == B.Pass && A.Inputs == B.Inputs &&
-             A.Options == B.Options;
-    }
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey &K) const;
-  };
-  struct CacheEntry {
-    std::shared_ptr<const void> Value;
-    uint64_t ContentHash = 0;
-  };
-
   /// Looks up (K, InputsHash, OptionsFp); on a miss runs \p Compute
   /// (returning Expected<T>), interning and instrumenting the result.
   template <typename T, typename Fn>
@@ -461,9 +458,10 @@ private:
   /// Runs the verify pass (timed, never cached) and seals the result.
   Expected<CompiledLoop> finish(CompiledLoop CL, const PipelineOptions &Opts);
 
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> Cache;
   std::array<PassStats, NumPassKinds> Stats{};
   bool CacheOn = true;
+  /// The store used when the caller supplies none.
+  std::unique_ptr<MemoryStore> OwnStore;
   ArtifactStore *Store = nullptr;
   TraceTrack *Trace = nullptr;
   CancelToken Cancel;

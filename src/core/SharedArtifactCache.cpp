@@ -1,4 +1,4 @@
-//===- core/SharedArtifactCache.cpp - Cross-session artifact cache ----------===//
+//===- core/SharedArtifactCache.cpp - In-memory artifact store -------------===//
 //
 // Part of the SDSP project: a reproduction of Gao, Wong & Ning,
 // "A Timed Petri-Net Model for Fine-Grain Loop Scheduling", PLDI 1991.
@@ -23,10 +23,9 @@ size_t roundUpPow2(size_t N) {
 
 } // namespace
 
-SharedArtifactCache::SharedArtifactCache()
-    : SharedArtifactCache(Config{}) {}
+MemoryStore::MemoryStore() : MemoryStore(Config{}) {}
 
-SharedArtifactCache::SharedArtifactCache(Config C) {
+MemoryStore::MemoryStore(Config C) {
   size_t N = roundUpPow2(C.Shards ? C.Shards : 1);
   ShardsVec.reserve(N);
   for (size_t I = 0; I < N; ++I)
@@ -38,17 +37,16 @@ SharedArtifactCache::SharedArtifactCache(Config C) {
     PerShardBudget = (C.MaxBytes + N - 1) / N;
 }
 
-SharedArtifactCache::Shard &SharedArtifactCache::shardFor(const Key &K) {
-  return *ShardsVec[KeyHash()(K) & ShardMask];
+MemoryStore::Shard &MemoryStore::shardFor(const ArtifactKey &K) {
+  return *ShardsVec[ArtifactKeyHash()(K) & ShardMask];
 }
 
-const SharedArtifactCache::Shard &
-SharedArtifactCache::shardFor(const Key &K) const {
-  return *ShardsVec[KeyHash()(K) & ShardMask];
+const MemoryStore::Shard &MemoryStore::shardFor(const ArtifactKey &K) const {
+  return *ShardsVec[ArtifactKeyHash()(K) & ShardMask];
 }
 
-std::optional<SharedArtifactCache::Entry>
-SharedArtifactCache::lookupOrLock(const Key &K) {
+std::optional<ArtifactEntry> MemoryStore::lookupOrLock(const ArtifactKey &K,
+                                                       FaultContext *) {
   Shard &S = shardFor(K);
   std::unique_lock<std::mutex> Lock(S.M);
   for (;;) {
@@ -68,7 +66,8 @@ SharedArtifactCache::lookupOrLock(const Key &K) {
   }
 }
 
-void SharedArtifactCache::publish(const Key &K, Entry E) {
+PublishResult MemoryStore::publish(const ArtifactKey &K, ArtifactEntry E,
+                                   FaultContext *) {
   Shard &S = shardFor(K);
   {
     std::lock_guard<std::mutex> Lock(S.M);
@@ -83,9 +82,10 @@ void SharedArtifactCache::publish(const Key &K, Entry E) {
     evictOver(S, K);
   }
   S.CV.notify_all();
+  return PublishResult{};
 }
 
-void SharedArtifactCache::abandon(const Key &K) {
+void MemoryStore::abandon(const ArtifactKey &K) {
   Shard &S = shardFor(K);
   {
     std::lock_guard<std::mutex> Lock(S.M);
@@ -100,7 +100,7 @@ void SharedArtifactCache::abandon(const Key &K) {
   S.CV.notify_all();
 }
 
-void SharedArtifactCache::evictOver(Shard &S, const Key &Keep) {
+void MemoryStore::evictOver(Shard &S, const ArtifactKey &Keep) {
   if (!PerShardBudget)
     return;
   while (S.Bytes > PerShardBudget) {
@@ -122,8 +122,7 @@ void SharedArtifactCache::evictOver(Shard &S, const Key &Keep) {
   }
 }
 
-std::optional<SharedArtifactCache::Entry>
-SharedArtifactCache::peek(const Key &K) const {
+std::optional<ArtifactEntry> MemoryStore::peek(const ArtifactKey &K) const {
   const Shard &S = shardFor(K);
   std::lock_guard<std::mutex> Lock(S.M);
   auto It = S.Map.find(K);
@@ -132,7 +131,7 @@ SharedArtifactCache::peek(const Key &K) const {
   return It->second.E;
 }
 
-void SharedArtifactCache::clear() {
+void MemoryStore::clear() {
   for (auto &SP : ShardsVec) {
     Shard &S = *SP;
     std::lock_guard<std::mutex> Lock(S.M);
@@ -147,7 +146,7 @@ void SharedArtifactCache::clear() {
   }
 }
 
-SharedArtifactCache::CounterSnapshot SharedArtifactCache::counters() const {
+MemoryStore::CounterSnapshot MemoryStore::counters() const {
   CounterSnapshot C;
   for (const auto &SP : ShardsVec) {
     const Shard &S = *SP;
@@ -164,8 +163,7 @@ SharedArtifactCache::CounterSnapshot SharedArtifactCache::counters() const {
   return C;
 }
 
-std::vector<SharedArtifactCache::CounterSnapshot>
-SharedArtifactCache::shardCounters() const {
+std::vector<MemoryStore::CounterSnapshot> MemoryStore::shardCounters() const {
   std::vector<CounterSnapshot> Out;
   Out.reserve(ShardsVec.size());
   for (const auto &SP : ShardsVec) {

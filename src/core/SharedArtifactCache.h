@@ -1,4 +1,4 @@
-//===- core/SharedArtifactCache.h - Cross-session artifact cache -*- C++ -*-===//
+//===- core/SharedArtifactCache.h - In-memory artifact store ----*- C++ -*-===//
 //
 // Part of the SDSP project: a reproduction of Gao, Wong & Ning,
 // "A Timed Petri-Net Model for Fine-Grain Loop Scheduling", PLDI 1991.
@@ -6,13 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The session-scoped artifact cache of core/Session.h, promoted to
-/// cross-session scope: many CompilationSessions — typically one per
-/// loop in a batch (core/BatchCompiler.h), running on different threads
-/// — intern pass results in one shared table, so a batch over loops
-/// with common prefixes (the same kernel at several option points, or
-/// fuzz loops sharing subgraphs) computes each (pass, input hashes,
-/// options fingerprint) triple once for the whole fleet.
+/// MemoryStore, the in-memory tier of the artifact storage stack
+/// (core/ArtifactStore.h).  Every cached CompilationSession interns its
+/// pass results in one: a session given no store owns a private
+/// single-shard MemoryStore, and many sessions — typically one per loop
+/// in a batch (core/BatchCompiler.h), running on different threads —
+/// can share one, so a batch over loops with common prefixes (the same
+/// kernel at several option points, or fuzz loops sharing subgraphs)
+/// computes each (pass, input hashes, options fingerprint) triple once
+/// for the whole fleet.
 ///
 /// Concurrency model:
 ///   - The table is sharded; each shard has its own mutex, so threads
@@ -59,19 +61,10 @@ namespace sdsp {
 
 /// The in-memory tier of the artifact storage stack: implements the
 /// ArtifactStore compute-once protocol over a sharded table.  Usable on
-/// its own (the classic shared cache) or as the memory tier of a
-/// TieredStore over a persistent DiskStore (core/ArtifactStore.h).
-class SharedArtifactCache final : public ArtifactStore {
+/// its own or as the memory tier of a TieredStore over a persistent
+/// DiskStore (core/ArtifactStore.h).
+class MemoryStore final : public ArtifactStore {
 public:
-  /// The Session's cache key triple (core/Session.h): registered pass,
-  /// combined input content hashes, options fingerprint.
-  using Key = ArtifactKey;
-
-  /// A published artifact: type-erased immutable value (the key's pass
-  /// determines the concrete type), its content hash, and its
-  /// approximate size (the eviction unit).
-  using Entry = ArtifactEntry;
-
   struct Config {
     /// Lock stripes; rounded up to a power of two, minimum 1.
     size_t Shards = 16;
@@ -90,42 +83,34 @@ public:
     uint64_t Bytes = 0;     ///< Their total approximate size.
   };
 
-  SharedArtifactCache(); ///< Default Config.
-  explicit SharedArtifactCache(Config C);
+  MemoryStore(); ///< Default Config.
+  explicit MemoryStore(Config C);
 
-  SharedArtifactCache(const SharedArtifactCache &) = delete;
-  SharedArtifactCache &operator=(const SharedArtifactCache &) = delete;
+  MemoryStore(const MemoryStore &) = delete;
+  MemoryStore &operator=(const MemoryStore &) = delete;
 
   /// Hit: returns the published entry.  Miss: marks \p K in-flight and
   /// returns nullopt — the caller *owns* the key and must call
   /// publish() or abandon() exactly once (core/Session.h wraps this in
   /// an RAII guard).  If another thread owns the key, blocks until it
-  /// resolves, then behaves as above.
-  std::optional<Entry> lookupOrLock(const Key &K);
+  /// resolves, then behaves as above.  The memory tier has no fault
+  /// sites of its own (cache:lookup / cache:publish fire in the
+  /// session, before the store is consulted), so the context is unused.
+  std::optional<ArtifactEntry> lookupOrLock(const ArtifactKey &K,
+                                            FaultContext *) override;
 
   /// Publishes the owner's computed entry and wakes waiters.  May evict
   /// older entries to honor the byte budget.
-  void publish(const Key &K, Entry E);
+  PublishResult publish(const ArtifactKey &K, ArtifactEntry E,
+                        FaultContext *) override;
 
   /// Releases an owned key without a value (the computation failed).
-  /// One waiter, if any, becomes the new owner.  Overrides the
-  /// ArtifactStore protocol method.
-  void abandon(const Key &K) override;
-
-  /// ArtifactStore protocol.  The memory tier has no fault sites of its
-  /// own (cache:lookup / cache:publish fire in the session, before the
-  /// store is consulted), so the context is unused here.
-  std::optional<Entry> lookupOrLock(const Key &K, FaultContext *) override {
-    return lookupOrLock(K);
-  }
-  PublishResult publish(const Key &K, Entry E, FaultContext *) override {
-    publish(K, std::move(E));
-    return PublishResult{};
-  }
+  /// One waiter, if any, becomes the new owner.
+  void abandon(const ArtifactKey &K) override;
 
   /// Non-blocking, non-locking-semantics lookup (tests, stats).  Does
   /// not count as a hit or miss and does not refresh recency.
-  std::optional<Entry> peek(const Key &K) const;
+  std::optional<ArtifactEntry> peek(const ArtifactKey &K) const;
 
   /// Drops every published entry (in-flight keys are untouched).
   void clear();
@@ -137,21 +122,18 @@ public:
   /// thread count.
   std::vector<CounterSnapshot> shardCounters() const;
   size_t entries() const { return counters().Entries; }
-  size_t shardCount() const { return ShardsVec.size(); }
 
 private:
-  using KeyHash = ArtifactKeyHash;
-
   struct Slot {
     bool Ready = false; ///< false: in flight, owned by some thread.
-    Entry E;
+    ArtifactEntry E;
     uint64_t LruTick = 0;
   };
 
   struct Shard {
     mutable std::mutex M;
     std::condition_variable CV;
-    std::unordered_map<Key, Slot, KeyHash> Map;
+    std::unordered_map<ArtifactKey, Slot, ArtifactKeyHash> Map;
     uint64_t Bytes = 0;   ///< Published bytes resident in this shard.
     uint64_t Tick = 0;    ///< Recency clock for LRU eviction.
     uint64_t Hits = 0;
@@ -161,19 +143,16 @@ private:
     uint64_t Abandons = 0;
   };
 
-  Shard &shardFor(const Key &K);
-  const Shard &shardFor(const Key &K) const;
+  Shard &shardFor(const ArtifactKey &K);
+  const Shard &shardFor(const ArtifactKey &K) const;
   /// Evicts LRU published entries (other than \p Keep) while the shard
   /// is over its budget.  Caller holds the shard lock.
-  void evictOver(Shard &S, const Key &Keep);
+  void evictOver(Shard &S, const ArtifactKey &Keep);
 
   std::vector<std::unique_ptr<Shard>> ShardsVec;
   size_t ShardMask = 0;
   uint64_t PerShardBudget = 0; ///< 0 = unbounded.
 };
-
-/// The storage stack's name for the in-memory tier (docs/SERVICE.md).
-using MemoryStore = SharedArtifactCache;
 
 } // namespace sdsp
 

@@ -14,7 +14,8 @@
 ///   pass:<id>          every pass boundary in the compilation session
 ///                      (one site per PassTable id: pass:lower,
 ///                      pass:frustum, ...)
-///   cache:lookup       before SharedArtifactCache::lookupOrLock
+///   cache:lookup       before a cached session's
+///                      ArtifactStore::lookupOrLock
 ///   cache:publish      after a successful compute, before the owner
 ///                      publishes (failing here exercises owner death
 ///                      and the abandon handoff)

@@ -9,8 +9,9 @@
 // process over a warm directory serves every cacheable pass from disk
 // with byte-identical results, corrupt objects degrade to recompute
 // (and are healed), an injected store:write fault skips the write
-// without poisoning the index, the byte budget evicts LRU objects, and
-// a lost index is rebuilt by scanning objects/.
+// without poisoning the index, the byte budget evicts LRU objects, hit
+// recency survives a clean reopen, and a lost index is rebuilt by
+// scanning objects/.
 //
 //===----------------------------------------------------------------------===//
 
@@ -356,6 +357,64 @@ TEST(ArtifactStoreTest, ByteBudgetEvictsLeastRecentlyUsed) {
   DiskStore Reopened(DiskStore::Config{Small.str(), 0});
   EXPECT_EQ(Reopened.entries(), Tight.Disk.entries());
   EXPECT_EQ(Reopened.bytes(), Tight.Disk.bytes());
+}
+
+std::vector<std::string> indexDigests(const fs::path &Dir) {
+  std::ifstream In(Dir / "index");
+  std::vector<std::string> Out;
+  std::string Line;
+  while (std::getline(In, Line))
+    if (!Line.empty())
+      Out.push_back(Line.substr(0, Line.find(' ')));
+  return Out;
+}
+
+TEST(ArtifactStoreTest, HitRefreshesRecencyAcrossCleanReopen) {
+  // Hits reorder the LRU in memory only; the destructor persists the
+  // order, so the next process under a tight budget evicts the object
+  // nobody read — not the one that was just hit.
+  CompilationSession Lowering(SessionConfig{false});
+  auto entryFor = [&](const char *Id) {
+    auto G = Lowering.lower(kernelSource(Id));
+    EXPECT_TRUE(bool(G));
+    return ArtifactEntry{G->ptr(), G->hash(), artifactSizeBytes(**G)};
+  };
+  const uint32_t Lower = static_cast<uint32_t>(PassKind::Lower);
+  ArtifactKey Hit{Lower, 1, 0}, Cold{Lower, 2, 0}, Late{Lower, 3, 0};
+  TempDir Dir;
+  uint64_t HitBytes = 0, LateBytes = 0;
+  {
+    DiskStore First(DiskStore::Config{Dir.str(), 0});
+    HitBytes = First.put(Hit, entryFor("loop1"), nullptr);
+    ASSERT_GT(First.put(Cold, entryFor("loop7"), nullptr), 0u);
+    ASSERT_GT(HitBytes, 0u);
+  }
+  std::vector<std::string> Written = indexDigests(Dir.Path);
+  ASSERT_EQ(Written.size(), 2u);
+  {
+    DiskStore Second(DiskStore::Config{Dir.str(), 0});
+    ASSERT_TRUE(Second.get(Hit, nullptr).has_value());
+    EXPECT_EQ(indexDigests(Dir.Path), Written); // No write on the hit.
+  }
+  std::vector<std::string> Reordered = indexDigests(Dir.Path);
+  ASSERT_EQ(Reordered.size(), 2u);
+  EXPECT_EQ(Reordered.front(), Written.back());
+  EXPECT_EQ(Reordered.back(), Written.front());
+
+  ArtifactEntry LateEntry = entryFor("loop12");
+  {
+    // Measure the late object's size in a scratch store first.
+    TempDir Scratch;
+    DiskStore Probe(DiskStore::Config{Scratch.str(), 0});
+    LateBytes = Probe.put(Late, LateEntry, nullptr);
+    ASSERT_GT(LateBytes, 0u);
+  }
+  DiskStore Tight(DiskStore::Config{Dir.str(), HitBytes + LateBytes});
+  ASSERT_EQ(Tight.put(Late, LateEntry, nullptr), LateBytes);
+  EXPECT_EQ(Tight.counters().Evictions, 1u);
+  EXPECT_TRUE(Tight.contains(Hit));
+  EXPECT_FALSE(Tight.contains(Cold));
+  EXPECT_TRUE(Tight.contains(Late));
 }
 
 TEST(ArtifactStoreTest, MissingIndexIsRebuiltByScanningObjects) {

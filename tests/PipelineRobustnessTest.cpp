@@ -8,14 +8,16 @@
 // The guarded pipeline must never crash or hang, whatever the input:
 // every run ends in a stage-tagged diagnostic or a verified schedule.
 // Deterministic fuzz-lite sweeps drive random token soups and mutated
-// kernels through runPipeline() with randomized options and Verify on,
-// then pin down the structured errors each guard is supposed to raise.
+// kernels through CompilationSession::compile() with randomized options
+// and Verify on, then pin down the structured errors each guard is
+// supposed to raise.
 // The whole suite runs under SDSP_CHECK (active in Release builds too),
 // so a Release/NDEBUG ctest run exercises the same guard rails.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
+#include "core/Session.h"
 #include "dataflow/GraphBuilder.h"
 #include "dataflow/Unroll.h"
 #include "livermore/Livermore.h"
@@ -26,6 +28,15 @@
 using namespace sdsp;
 
 namespace {
+
+/// Compiles \p Src in a throwaway session, so no call is answered from
+/// an earlier call's cache.
+Expected<CompiledLoop> compileFresh(const std::string &Src,
+                                    const PipelineOptions &Opts,
+                                    DiagnosticEngine *Diags = nullptr) {
+  CompilationSession Session;
+  return Session.compile(Src, Opts, Diags);
+}
 
 /// Any pipeline outcome must be a success with the requested artifacts
 /// or a structured, stage-tagged error — never anything else.
@@ -76,7 +87,7 @@ TEST(PipelineRobustness, RandomTokenSoupNeverCrashes) {
       Src += " ";
     }
     PipelineOptions Opts = randomOptions(R);
-    expectDiagnosticOrSchedule(runPipeline(Src, Opts), Src);
+    expectDiagnosticOrSchedule(compileFresh(Src, Opts), Src);
   }
 }
 
@@ -103,7 +114,7 @@ TEST(PipelineRobustness, MutatedKernelsEndToEnd) {
         }
       }
       PipelineOptions Opts = randomOptions(R);
-      expectDiagnosticOrSchedule(runPipeline(Src, Opts),
+      expectDiagnosticOrSchedule(compileFresh(Src, Opts),
                                  std::string(K.Id) + "/" +
                                      std::to_string(Trial));
     }
@@ -121,7 +132,7 @@ TEST(PipelineRobustness, PristineKernelsVerifyUnderAllOptions) {
       // (its guard is exercised by the fuzz sweeps above).
       if (Opts.Capacity != 1)
         Opts.OptimizeStorage = false;
-      Expected<CompiledLoop> Result = runPipeline(K.Source, Opts);
+      Expected<CompiledLoop> Result = compileFresh(K.Source, Opts);
       ASSERT_TRUE(Result.ok())
           << K.Id << ": " << Result.status().str();
       EXPECT_TRUE(Result->Verified) << K.Id;
@@ -131,7 +142,7 @@ TEST(PipelineRobustness, PristineKernelsVerifyUnderAllOptions) {
 
 TEST(PipelineRobustness, FrontendErrorsCarryDiagnostics) {
   DiagnosticEngine Diags;
-  Expected<CompiledLoop> Result = runPipeline("do i { A = ; }", {}, &Diags);
+  Expected<CompiledLoop> Result = compileFresh("do i { A = ; }", {}, &Diags);
   ASSERT_FALSE(Result.ok());
   EXPECT_EQ(Result.status().code(), ErrorCode::InvalidInput);
   EXPECT_EQ(Result.status().stage(), "frontend");
@@ -146,7 +157,7 @@ TEST(PipelineRobustness, OptionGuards) {
   {
     PipelineOptions Opts;
     Opts.Capacity = 0;
-    Expected<CompiledLoop> R = runPipeline(Src, Opts);
+    Expected<CompiledLoop> R = compileFresh(Src, Opts);
     ASSERT_FALSE(R.ok());
     EXPECT_EQ(R.status().code(), ErrorCode::InvalidInput);
     EXPECT_EQ(R.status().stage(), "options");
@@ -154,14 +165,14 @@ TEST(PipelineRobustness, OptionGuards) {
   {
     PipelineOptions Opts;
     Opts.Unroll = MaxUnrollFactor + 1;
-    Expected<CompiledLoop> R = runPipeline(Src, Opts);
+    Expected<CompiledLoop> R = compileFresh(Src, Opts);
     ASSERT_FALSE(R.ok());
     EXPECT_EQ(R.status().code(), ErrorCode::InvalidInput);
   }
   {
     PipelineOptions Opts;
     Opts.ScpDepth = MaxPipelineDepth + 1;
-    Expected<CompiledLoop> R = runPipeline(Src, Opts);
+    Expected<CompiledLoop> R = compileFresh(Src, Opts);
     ASSERT_FALSE(R.ok());
     EXPECT_EQ(R.status().code(), ErrorCode::InvalidInput);
     EXPECT_EQ(R.status().stage(), "scp");
@@ -170,7 +181,7 @@ TEST(PipelineRobustness, OptionGuards) {
     PipelineOptions Opts;
     Opts.ScpDepth = 2;
     Opts.Pipelines = 0;
-    Expected<CompiledLoop> R = runPipeline(Src, Opts);
+    Expected<CompiledLoop> R = compileFresh(Src, Opts);
     ASSERT_FALSE(R.ok());
     EXPECT_EQ(R.status().code(), ErrorCode::ResourceConflict);
   }
@@ -183,7 +194,7 @@ TEST(PipelineRobustness, BudgetExceededCarriesPartialTrace) {
   ASSERT_NE(K, nullptr);
   PipelineOptions Opts;
   Opts.FrustumBudgetSteps = 1;
-  Expected<CompiledLoop> R = runPipeline(K->Source, Opts);
+  Expected<CompiledLoop> R = compileFresh(K->Source, Opts);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), ErrorCode::BudgetExceeded);
   EXPECT_EQ(R.status().stage(), "frustum");
@@ -199,7 +210,7 @@ TEST(PipelineRobustness, DefaultBudgetIsTheoryBound) {
   for (const LivermoreKernel &K : livermoreKernels()) {
     PipelineOptions Opts;
     Opts.Verify = true;
-    Expected<CompiledLoop> R = runPipeline(K.Source, Opts);
+    Expected<CompiledLoop> R = compileFresh(K.Source, Opts);
     ASSERT_TRUE(R.ok()) << K.Id << ": " << R.status().str();
     // The paper's empirical claim: the frustum shows up within ~2n.
     EXPECT_TRUE(R->FrustumWithinEmpiricalBound) << K.Id;
@@ -207,7 +218,7 @@ TEST(PipelineRobustness, DefaultBudgetIsTheoryBound) {
 }
 
 TEST(PipelineRobustness, EmptyLoopIsDiagnosedNotScheduled) {
-  Expected<CompiledLoop> R = runPipeline("do i { }", {});
+  Expected<CompiledLoop> R = compileFresh("do i { }", {});
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), ErrorCode::InvalidNet);
   EXPECT_EQ(R.status().stage(), "petri");
@@ -231,7 +242,7 @@ TEST(PipelineRobustness, StopAfterStagesPopulateExactlyWhatTheyPromise) {
   const char *Src = "do i { init s = 0; s = s[i-1] + X[i]; out s; }";
   PipelineOptions Opts;
   Opts.StopAfter = PipelineStage::Petri;
-  Expected<CompiledLoop> R = runPipeline(Src, Opts);
+  Expected<CompiledLoop> R = compileFresh(Src, Opts);
   ASSERT_TRUE(R.ok()) << R.status().str();
   EXPECT_TRUE(R->Pn.has_value());
   EXPECT_TRUE(R->Rate.has_value());
@@ -239,7 +250,7 @@ TEST(PipelineRobustness, StopAfterStagesPopulateExactlyWhatTheyPromise) {
   EXPECT_FALSE(R->Schedule.has_value());
 
   Opts.StopAfter = PipelineStage::Frontend;
-  Expected<CompiledLoop> R2 = runPipeline(Src, Opts);
+  Expected<CompiledLoop> R2 = compileFresh(Src, Opts);
   ASSERT_TRUE(R2.ok());
   EXPECT_FALSE(R2->S.has_value());
   EXPECT_FALSE(R2->Pn.has_value());
@@ -254,7 +265,7 @@ TEST(PipelineRobustness, VerifyCrossChecksFrustumAgainstCycleRatio) {
     ASSERT_NE(K, nullptr) << Id;
     PipelineOptions Opts;
     Opts.Verify = true;
-    Expected<CompiledLoop> R = runPipeline(K->Source, Opts);
+    Expected<CompiledLoop> R = compileFresh(K->Source, Opts);
     ASSERT_TRUE(R.ok()) << Id << ": " << R.status().str();
     ASSERT_TRUE(R->Verified);
     Rational FrustumRate = R->Frustum->computationRate(

@@ -8,8 +8,8 @@
 // End-to-end contracts of the session refactor: the SCP-depth ablation
 // recomputes its upstream passes exactly once (the acceptance criterion
 // of the refactor), pipeline outputs are byte-identical with the cache
-// on and off across the Livermore kernels, the one-call compile()
-// driver matches the legacy runPipeline() wrapper, and the trace
+// on and off across the Livermore kernels, a session's own store and a
+// caller-provided MemoryStore are interchangeable, and the trace
 // serializes to the documented JSON schema.
 //
 //===----------------------------------------------------------------------===//
@@ -17,6 +17,7 @@
 #include "codegen/CEmitter.h"
 #include "core/Pipeline.h"
 #include "core/Session.h"
+#include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
 #include "support/FaultInjection.h"
 #include "support/Trace.h"
@@ -116,31 +117,88 @@ TEST(SessionTest, OutputsByteIdenticalCacheOnAndOff) {
   }
 }
 
-/// The legacy one-call wrapper and the session driver agree on success
-/// artifacts and on the structured-error contract.
-TEST(SessionTest, CompileMatchesLegacyRunPipeline) {
-  const LivermoreKernel &K = kernel("loop5");
-  PipelineOptions Opts;
-  Opts.Verify = true;
-  Expected<CompiledLoop> Legacy = runPipeline(K.Source, Opts);
-  CompilationSession S(SessionConfig{true});
-  Expected<CompiledLoop> Session = S.compile(K.Source, Opts);
-  ASSERT_TRUE(bool(Legacy));
-  ASSERT_TRUE(bool(Session));
-  EXPECT_TRUE(Session->Verified);
-  EXPECT_EQ(Legacy->Frustum->StartTime, Session->Frustum->StartTime);
-  EXPECT_EQ(Legacy->Frustum->RepeatTime, Session->Frustum->RepeatTime);
-  EXPECT_EQ(Legacy->Rate->OptimalRate, Session->Rate->OptimalRate);
+/// One cache protocol: a session that owns its store and a session over
+/// a caller-provided MemoryStore count every pass the same way and
+/// produce the same results, over an SCP-depth sweep per kernel.
+TEST(SessionTest, OwnStoreAndCallerMemoryStoreAgree) {
+  auto Sweep = [](CompilationSession &S, const std::string &Source) {
+    std::ostringstream OS;
+    for (uint32_t Depth = 1; Depth <= 4; ++Depth) {
+      PipelineOptions Opts;
+      Opts.ScpDepth = Depth;
+      Opts.Verify = true;
+      Expected<CompiledLoop> CL = S.compile(Source, Opts);
+      EXPECT_TRUE(bool(CL)) << CL.status().str();
+      if (!CL)
+        return std::string("<failed>");
+      OS << Depth << ": " << CL->Rate->OptimalRate << " ["
+         << CL->Frustum->StartTime << ", " << CL->Frustum->RepeatTime
+         << ")";
+      for (TransitionId T : CL->machineNet().transitionIds())
+        OS << ' ' << CL->Frustum->computationRate(T);
+      OS << '\n';
+    }
+    return OS.str();
+  };
+  for (const char *Id : SweepKernels) {
+    const LivermoreKernel &K = kernel(Id);
+    CompilationSession Own(SessionConfig{true});
+    MemoryStore Memory;
+    SessionConfig Cfg{true};
+    Cfg.Store = &Memory;
+    CompilationSession Shared(Cfg);
+    EXPECT_NE(Own.store(), nullptr) << Id;
+    EXPECT_EQ(Shared.store(), &Memory) << Id;
 
-  // Structured errors: same code, stage, and message.
-  const char *Bad = "do i { A = ; out A; }";
-  Expected<CompiledLoop> LegacyErr = runPipeline(Bad, PipelineOptions{});
-  Expected<CompiledLoop> SessionErr = S.compile(Bad, PipelineOptions{});
-  ASSERT_FALSE(bool(LegacyErr));
-  ASSERT_FALSE(bool(SessionErr));
-  EXPECT_EQ(LegacyErr.status().code(), SessionErr.status().code());
-  EXPECT_EQ(LegacyErr.status().stage(), SessionErr.status().stage());
-  EXPECT_EQ(LegacyErr.status().message(), SessionErr.status().message());
+    EXPECT_EQ(Sweep(Own, K.Source), Sweep(Shared, K.Source)) << Id;
+    for (size_t P = 0; P < NumPassKinds; ++P) {
+      PassKind PK = static_cast<PassKind>(P);
+      const PassStats &A = Own.passStats(PK);
+      const PassStats &B = Shared.passStats(PK);
+      EXPECT_EQ(A.Invocations, B.Invocations) << Id << " " << passInfo(PK).Id;
+      EXPECT_EQ(A.CacheHits, B.CacheHits) << Id << " " << passInfo(PK).Id;
+      EXPECT_EQ(A.Failures, B.Failures) << Id << " " << passInfo(PK).Id;
+      EXPECT_EQ(A.ArtifactBytes, B.ArtifactBytes)
+          << Id << " " << passInfo(PK).Id;
+    }
+    // Upstream passes ran once per session and hit on the other depths.
+    EXPECT_EQ(Own.passStats(PassKind::Lower).CacheHits, 3u) << Id;
+    EXPECT_EQ(Own.cacheEntries(), Memory.entries()) << Id;
+    EXPECT_EQ(Shared.cacheEntries(), 0u) << Id;
+  }
+}
+
+/// A hit resolves as "hit" whichever store answered it, its lookup time
+/// is recorded, and a session's own store publishes like a shared one.
+TEST(SessionTest, OwnStoreHitsAreTracedAndTimed) {
+  TraceCollector Collector;
+  SessionConfig Cfg{true};
+  Cfg.Trace = &Collector.track("job");
+  CompilationSession S(std::move(Cfg));
+  const LivermoreKernel &K = kernel("loop7");
+  ASSERT_TRUE(bool(S.compile(K.Source, PipelineOptions{})));
+  ASSERT_TRUE(bool(S.compile(K.Source, PipelineOptions{})));
+
+  const PassStats &Lower = S.passStats(PassKind::Lower);
+  EXPECT_EQ(Lower.CacheHits, 1u);
+  EXPECT_GT(Lower.HitSeconds, 0.0);
+  EXPECT_EQ(S.passStats(PassKind::Verify).HitSeconds, 0.0);
+
+  std::ostringstream OS;
+  Collector.writeJson(OS);
+  const std::string Text = OS.str();
+  EXPECT_NE(Text.find("\"resolved\": \"hit\""), std::string::npos);
+  EXPECT_NE(Text.find("\"cache-publish\""), std::string::npos);
+
+  std::ostringstream Json;
+  S.trace().writeJson(Json);
+  EXPECT_NE(Json.str().find("\"hit_seconds\": "), std::string::npos);
+  std::ostringstream Table;
+  S.trace().printTable(Table);
+  EXPECT_NE(Table.str().find("hit ms"), std::string::npos);
+
+  S.clearCache();
+  EXPECT_EQ(S.cacheEntries(), 0u);
 }
 
 /// Identity transform options skip the transform pass entirely in the

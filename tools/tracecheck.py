@@ -12,9 +12,11 @@ message on the first violation:
       an explicit scope on every instant.  "simd-dispatch" instants
       (the fast engine recording which readiness-sweep tier it
       selected, petri/SimdDispatch.h) must additionally carry a known
-      tier name in their args.  "store-publish" instants (a pass
-      artifact persisted to the content-addressed disk store,
-      docs/SERVICE.md) must name the pass and a nonzero byte count,
+      tier name in their args.  Every "pass" span's closing record
+      must carry a known "resolved" disposition.  "store-publish"
+      instants (a pass artifact persisted to the content-addressed
+      disk store, docs/SERVICE.md) must name the pass and a nonzero
+      byte count,
       and "request" spans (one per sdspd request) may only appear on
       the daemon's "request:N" tracks.  Anything Perfetto or
       chrome://tracing would render wrong fails here first.
@@ -51,6 +53,10 @@ import sys
 # sdsp::simdTierName in src/petri/SimdDispatch.cpp).
 SIMD_TIERS = {"scalar", "sse2", "avx2", "avx512"}
 
+# How a pass span resolves (the "resolved" arg on its closing record,
+# src/core/Session.cpp): a hit is a hit whichever store answered it.
+DISPOSITIONS = {"computed", "hit", "failed", "cancelled"}
+
 
 def fail(msg):
     print(f"tracecheck: {msg}", file=sys.stderr)
@@ -81,7 +87,8 @@ def check_trace(path):
     # Per-tid state: last timestamp and the open-span stack.
     last_ts = {}
     open_spans = {}
-    counts = {"B": 0, "E": 0, "i": 0, "simd": 0, "request": 0, "store": 0}
+    counts = {"B": 0, "E": 0, "i": 0, "simd": 0, "request": 0, "store": 0,
+              "pass": 0}
 
     for i, ev in enumerate(events):
         where = f"'{path}' event {i}"
@@ -111,11 +118,17 @@ def check_trace(path):
         last_ts[tid] = ts
         stack = open_spans.setdefault(tid, [])
         if ph == "B":
-            stack.append(ev.get("name"))
+            stack.append((ev.get("name"), ev.get("cat")))
         elif ph == "E":
             if not stack:
                 fail(f"{where}: 'E' with no open span on tid {tid}")
-            stack.pop()
+            name, cat = stack.pop()
+            if cat == "pass":
+                how = ev.get("args", {}).get("resolved")
+                if how not in DISPOSITIONS:
+                    fail(f"{where}: pass span {name!r} resolved {how!r}, "
+                         f"expected one of {sorted(DISPOSITIONS)}")
+                counts["pass"] += 1
         elif ev.get("s") not in ("t", "p", "g"):
             fail(f"{where}: instant needs an explicit scope 's'")
         if ph == "i" and ev.get("name") == "simd-dispatch":
@@ -148,11 +161,12 @@ def check_trace(path):
     for tid, stack in open_spans.items():
         if stack:
             fail(f"'{path}': tid {tid} ends with unclosed span(s) "
-                 f"{stack} (B/E must balance)")
+                 f"{[name for name, _ in stack]} (B/E must balance)")
     if counts["B"] != counts["E"]:
         fail(f"'{path}': {counts['B']} 'B' events vs {counts['E']} 'E'")
     print(f"tracecheck: '{path}' ok — {len(named_tids)} track(s), "
-          f"{counts['B']} span(s), {counts['i']} instant(s), "
+          f"{counts['B']} span(s) ({counts['pass']} pass), "
+          f"{counts['i']} instant(s), "
           f"{counts['simd']} simd-dispatch, {counts['request']} "
           f"request span(s), {counts['store']} store-publish")
 
@@ -229,9 +243,6 @@ def check_faults(trace_path, metrics_path):
           f"{len(per_site)} site(s), {cancelled} cancellation(s)")
 
 
-PNML_DISPOSITIONS = {"computed", "hit", "shared-hit", "failed", "cancelled"}
-
-
 def check_pnml(trace_path, metrics_path):
     doc = load_json(trace_path)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
@@ -259,9 +270,9 @@ def check_pnml(trace_path, metrics_path):
                      f"on tid {tid}")
             open_pnml[tid] = None
             how = ev.get("args", {}).get("resolved")
-            if how not in PNML_DISPOSITIONS:
+            if how not in DISPOSITIONS:
                 fail(f"{where}: {name} resolved {how!r}, expected one "
-                     f"of {sorted(PNML_DISPOSITIONS)}")
+                     f"of {sorted(DISPOSITIONS)}")
             bucket = resolved[name]
             bucket[how] = bucket.get(how, 0) + 1
     for tid, name in open_pnml.items():
