@@ -64,15 +64,6 @@ DataflowGraph buildSyntheticLoop(size_t Chains, size_t Depth,
 constexpr uint32_t MulTime = 2;
 constexpr uint32_t DivTime = 56;
 
-/// Chain-0 multiply time for the *pinned* wide family (analytic arms).
-/// The symmetric wide family ties every chain's cycle at the maximum
-/// ratio — thousands of critical cycles — which the analytic engine
-/// correctly refuses (MultipleCriticalCycles).  Slowing one chain by
-/// more than the balanced tree's one-level depth variance leaves a
-/// single critical cycle through chain 0, so the same at-scale shape
-/// qualifies for the analytic path.
-constexpr uint32_t PinnedMulTime = 10;
-
 /// The at-scale variant: \p Chains parallel multiply chains summed by
 /// a balanced binary tree, feeding a loop-carried recurrence through
 /// long-latency divisions.  Two deliberate departures from the
@@ -93,8 +84,7 @@ constexpr uint32_t PinnedMulTime = 10;
 ///    optimized detector's event leap pays and the step-per-instant
 ///    reference pays a full O(n) state intern regardless.
 DataflowGraph buildWideSyntheticLoop(size_t Chains, size_t Depth,
-                                     size_t RecurrenceLen,
-                                     uint32_t Chain0MulTime = MulTime) {
+                                     size_t RecurrenceLen) {
   GraphBuilder B;
   std::vector<GraphBuilder::Value> Level;
   std::vector<NodeId> Muls, Divs;
@@ -130,8 +120,8 @@ DataflowGraph buildWideSyntheticLoop(size_t Chains, size_t Depth,
   Prev.bind(R);
   B.outputValue("y", R);
   DataflowGraph G = B.take();
-  for (size_t I = 0; I < Muls.size(); ++I)
-    G.setExecTime(Muls[I], I < Depth ? Chain0MulTime : MulTime);
+  for (NodeId N : Muls)
+    G.setExecTime(N, MulTime);
   for (NodeId N : Divs)
     G.setExecTime(N, DivTime);
   return G;
@@ -219,64 +209,6 @@ void benchFrustumReferenceAtScale(benchmark::State &State) {
   State.SetComplexityN(static_cast<int64_t>(Pn.Net.numTransitions()));
 }
 
-/// The analytic engine (critical-cycle construction, no simulation) on
-/// the pinned wide family — the at-scale shape restricted to a single
-/// critical cycle, the structure the analytic path requires.  The
-/// qualification probe before the loop keeps the arm honest: if the
-/// net ever stops qualifying the arm errors out instead of silently
-/// benchmarking the simulation fallback.
-void benchFrustumAnalyticAtScale(benchmark::State &State) {
-  DataflowGraph G =
-      buildWideSyntheticLoop(chainsForTransitions(State.range(0)), 2, 4,
-                             PinnedMulTime);
-  SdspPn Pn = buildSdspPn(Sdsp::standard(G));
-  std::string Reason;
-  auto Probe = detectFrustumAnalytic(Pn.Net, nullptr, {}, {}, nullptr,
-                                     &Reason);
-  if (!Reason.empty()) {
-    State.SkipWithError(("analytic fallback: " + Reason).c_str());
-    return;
-  }
-  benchmark::DoNotOptimize(Probe);
-  for (auto _ : State) {
-    auto F = detectFrustumAnalytic(Pn.Net);
-    benchmark::DoNotOptimize(F);
-  }
-  State.SetComplexityN(static_cast<int64_t>(Pn.Net.numTransitions()));
-}
-
-/// The optimized simulator on the same pinned nets, for the honest
-/// side-by-side in the report (the leap engine stays ahead at this
-/// family's short frustum window; the analytic gate is against the
-/// step-per-instant reference below).
-void benchFrustumAnalyticSimAtScale(benchmark::State &State) {
-  DataflowGraph G =
-      buildWideSyntheticLoop(chainsForTransitions(State.range(0)), 2, 4,
-                             PinnedMulTime);
-  SdspPn Pn = buildSdspPn(Sdsp::standard(G));
-  for (auto _ : State) {
-    auto F = detectFrustumChecked(Pn.Net);
-    benchmark::DoNotOptimize(F);
-  }
-  State.SetComplexityN(static_cast<int64_t>(Pn.Net.numTransitions()));
-}
-
-/// The reference simulator on the pinned nets: the analytic gate's
-/// baseline, measured directly up to 65536 and power-law extrapolated
-/// to 262144 (same fitting as the at-scale gate; the reference interns
-/// a deep state per instant and cannot hold the 262144 arm in memory).
-void benchFrustumAnalyticReferenceAtScale(benchmark::State &State) {
-  DataflowGraph G =
-      buildWideSyntheticLoop(chainsForTransitions(State.range(0)), 2, 4,
-                             PinnedMulTime);
-  SdspPn Pn = buildSdspPn(Sdsp::standard(G));
-  for (auto _ : State) {
-    auto F = detectFrustumReference(Pn.Net);
-    benchmark::DoNotOptimize(F);
-  }
-  State.SetComplexityN(static_cast<int64_t>(Pn.Net.numTransitions()));
-}
-
 /// Dense-cycle marked graph for the rate-engine gate: a spine with as
 /// many chords as transitions gives Johnson enumeration thousands of
 /// simple cycles to walk while Howard's policy iteration sees only
@@ -351,24 +283,6 @@ BENCHMARK(benchFrustumReferenceAtScale)
     ->Arg(64)
     ->Arg(256)
     ->Arg(682)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536);
-
-BENCHMARK(benchFrustumAnalyticAtScale)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536)
-    ->Arg(262144)
-    ->Complexity();
-
-BENCHMARK(benchFrustumAnalyticSimAtScale)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536)
-    ->Arg(262144);
-
-BENCHMARK(benchFrustumAnalyticReferenceAtScale)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 
@@ -87,49 +88,12 @@ void DiskStore::loadIndex() {
   ByDigest.clear();
   TotalBytes = 0;
 
-  bool Parsed = false;
-  std::ifstream In(fs::path(Root) / "index");
-  if (In) {
-    Parsed = true;
-    std::string Line;
-    while (std::getline(In, Line)) {
-      size_t Space = Line.find(' ');
-      if (Space == std::string::npos) {
-        Parsed = false;
-        break;
-      }
-      std::string Digest = Line.substr(0, Space);
-      if (!isDigest(Digest) || ByDigest.count(Digest)) {
-        Parsed = false;
-        break;
-      }
-      uint64_t Bytes = 0;
-      for (char Ch : Line.substr(Space + 1)) {
-        if (Ch < '0' || Ch > '9') {
-          Parsed = false;
-          break;
-        }
-        Bytes = Bytes * 10 + static_cast<uint64_t>(Ch - '0');
-      }
-      if (!Parsed)
-        break;
-      std::error_code EC;
-      if (!fs::exists(objectPath(Digest), EC))
-        continue; // A crashed eviction removed the file first; drop it.
-      Lru.push_back(IndexEntry{Digest, Bytes});
-      ByDigest.emplace(Digest, std::prev(Lru.end()));
-      TotalBytes += Bytes;
-    }
-  }
-  if (Parsed)
-    return;
-
-  // Missing or damaged index: rebuild from the objects on disk, sorted
-  // by digest so the recovered LRU order is deterministic.
-  Lru.clear();
-  ByDigest.clear();
-  TotalBytes = 0;
-  std::vector<IndexEntry> Found;
+  // The objects on disk are the truth about what the store holds: a
+  // second process on the same directory may have published objects
+  // this index never heard of, and a crashed eviction may have removed
+  // a file before rewriting the index.  Sorted by digest, so unindexed
+  // objects land in a deterministic order.
+  std::map<std::string, uint64_t> OnDisk;
   std::error_code EC;
   for (const auto &SubDir :
        fs::directory_iterator(fs::path(Root) / "objects", EC)) {
@@ -143,21 +107,37 @@ void DiskStore::loadIndex() {
         continue;
       std::error_code EC3;
       uint64_t Bytes = static_cast<uint64_t>(fs::file_size(Obj.path(), EC3));
-      if (EC3)
-        continue;
-      Found.push_back(IndexEntry{Digest, Bytes});
+      if (!EC3)
+        OnDisk.emplace(std::move(Digest), Bytes);
     }
   }
-  std::sort(Found.begin(), Found.end(),
-            [](const IndexEntry &A, const IndexEntry &B) {
-              return A.Digest < B.Digest;
-            });
-  for (IndexEntry &E : Found) {
-    TotalBytes += E.Bytes;
-    Lru.push_back(std::move(E));
-    ByDigest.emplace(Lru.back().Digest, std::prev(Lru.end()));
+
+  // The index contributes only the recency order, oldest first; lines
+  // that are malformed, repeated, or name no object are skipped.
+  size_t IndexLines = 0;
+  std::ifstream In(fs::path(Root) / "index");
+  for (std::string Line; std::getline(In, Line);) {
+    ++IndexLines;
+    std::string Digest = Line.substr(0, Line.find(' '));
+    auto It = OnDisk.find(Digest);
+    if (It == OnDisk.end() || ByDigest.count(Digest))
+      continue;
+    Lru.push_back(IndexEntry{Digest, It->second});
+    ByDigest.emplace(Digest, std::prev(Lru.end()));
   }
-  writeIndexLocked();
+  size_t Indexed = Lru.size();
+
+  // Unindexed objects go to the cold end, in digest order.
+  auto ColdEnd = Lru.begin();
+  for (const auto &[Digest, Bytes] : OnDisk) {
+    TotalBytes += Bytes;
+    if (ByDigest.count(Digest))
+      continue;
+    auto Pos = Lru.insert(ColdEnd, IndexEntry{Digest, Bytes});
+    ByDigest.emplace(Digest, Pos);
+  }
+  if (!In.is_open() || Indexed != IndexLines || Indexed != OnDisk.size())
+    writeIndexLocked();
 }
 
 void DiskStore::writeIndexLocked() {

@@ -124,8 +124,10 @@ public:
 ///
 /// Objects are published atomically (temp file + rename), so a crashed
 /// or killed writer never leaves a half-written object behind a live
-/// index entry.  A missing or unparsable index is rebuilt by scanning
-/// objects/.  Not itself an ArtifactStore: it has no compute-once lock
+/// index entry.  Opening scans objects/ for the resident set and reads
+/// only the LRU order from the index, so a missing or damaged index, or
+/// one rewritten by another store on the same directory, loses no
+/// object.  Not itself an ArtifactStore: it has no compute-once lock
 /// — TieredStore supplies that from the memory tier.  Thread-safe.
 class DiskStore {
 public:
@@ -186,9 +188,12 @@ private:
   };
 
   std::string objectPath(const std::string &Digest) const;
-  /// Loads <dir>/index, dropping entries whose file vanished; on any
-  /// parse problem falls back to scanning objects/ (sorted by digest,
-  /// so rebuild order is deterministic).
+  /// Takes the resident set (and each object's size) from a scan of
+  /// objects/ and only the recency order from <dir>/index.  Objects the
+  /// index does not name -- published by another store on the same
+  /// directory, or left by a lost index -- join at the cold end in
+  /// digest order; index lines naming no object are dropped.  Rewrites
+  /// the index when the two disagreed.
   void loadIndex();
   /// Rewrites <dir>/index from Lru (atomic temp + rename) and clears
   /// IndexDirty.  Best effort: an unwritable index costs a rebuild on

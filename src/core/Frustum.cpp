@@ -27,7 +27,6 @@
 
 #include "core/Frustum.h"
 
-#include "petri/AnalyticSteadyState.h"
 #include "petri/ReferenceEngine.h"
 #include "petri/SimdDispatch.h"
 #include "support/FaultInjection.h"
@@ -316,73 +315,6 @@ Expected<FrustumInfo> sdsp::detectFrustumReference(const PetriNet &Net,
   }
 
   return budgetError(Net, MaxSteps, Engine.now(), TotalFirings, Trace);
-}
-
-Expected<FrustumInfo> sdsp::detectFrustumAnalytic(const PetriNet &Net,
-                                                  FiringPolicy *Policy,
-                                                  FrustumBudget Budget,
-                                                  const CancelToken &Cancel,
-                                                  FaultContext *Faults,
-                                                  std::string *FallbackReason) {
-  if (Status S = validateTimedNet(Net); !S)
-    return S;
-  if (FallbackReason)
-    FallbackReason->clear();
-
-  // A firing policy folds machine state into the instantaneous state,
-  // and an armed fault context counts an arrival per simulated step —
-  // neither is reproducible without stepping, so both bar the analytic
-  // path before the structural gate even runs.  The view built for the
-  // structural gate is handed on to compute() below.
-  // (The view holds a net reference, so the optional is initialized at
-  // declaration — it is not move-assignable.)
-  std::optional<MarkedGraphView> View =
-      (Policy || Faults) ? std::optional<MarkedGraphView>()
-                         : MarkedGraphView::tryBuild(Net);
-  AnalyticBar Bar;
-  if (Policy)
-    Bar = AnalyticBar::ExternalPolicy;
-  else if (Faults)
-    Bar = AnalyticBar::FaultInjection;
-  else if (!View)
-    Bar = AnalyticBar::NotMarkedGraph;
-  else
-    Bar = qualifiesForAnalytic(Net, *View);
-  if (Bar != AnalyticBar::Qualifies) {
-    MetricsRegistry::global().add("frustum.analytic.fallbacks", 1);
-    if (FallbackReason)
-      *FallbackReason = analyticBarName(Bar);
-    return detectFrustumChecked(Net, Policy, Budget, Cancel, Faults);
-  }
-
-  TimeStep MaxSteps = Budget.resolve(Net.numTransitions());
-  // A pre-cancelled token reproduces the simulators' instant-0 poll.
-  if (Cancel.cancelled())
-    return cancelError(Cancel, Net, /*Now=*/0, /*TotalFirings=*/0, {});
-
-  AnalyticSteadyState A =
-      AnalyticSteadyState::compute(Net, MaxSteps + 1, &*View);
-  MetricsRegistry &MR = MetricsRegistry::global();
-  MR.add("frustum.analytic.constructions", 1);
-  MR.add("frustum.analytic.rounds", A.roundsComputed());
-  MR.add("frustum.detections", 1);
-
-  if (!A.periodic() || A.repeatTime() > MaxSteps) {
-    // The simulators sample instants 0..MaxSteps, record each one, and
-    // report from t = MaxSteps+1; reconstruct exactly that.
-    std::vector<StepRecord> Trace;
-    A.appendSteps(MaxSteps + 1, Trace);
-    return budgetError(Net, MaxSteps, MaxSteps + 1,
-                       A.firingsThrough(MaxSteps), Trace);
-  }
-
-  // Qualifying nets are live and strongly connected, so quiescence
-  // (the dead-net diagnostic) is impossible: the remaining outcome is
-  // the frustum itself.
-  std::vector<StepRecord> Trace;
-  A.appendSteps(A.repeatTime(), Trace);
-  return makeInfo(Net, A.startTime(), A.repeatTime(),
-                  A.stateAt(A.repeatTime()), std::move(Trace));
 }
 
 std::optional<FrustumInfo> sdsp::detectFrustum(const PetriNet &Net,

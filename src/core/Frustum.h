@@ -144,29 +144,6 @@ Expected<FrustumInfo> detectFrustumReference(const PetriNet &Net,
                                              const CancelToken &Cancel = {},
                                              FaultContext *Faults = nullptr);
 
-/// The analytic engine (petri/AnalyticSteadyState.h): when \p Net
-/// qualifies — live safe strongly connected marked graph, single
-/// critical cycle, no firing policy, no fault injection — the frustum
-/// window is constructed directly from the max-plus round recurrence
-/// and the result (success, budget, dead-net, and pre-cancelled
-/// diagnostics included) is byte-identical to the simulators'.
-/// Non-qualifying nets fall back to detectFrustumChecked, bumping the
-/// frustum.analytic.fallbacks counter.  \p FallbackReason, when
-/// non-null, receives the human-readable bar that forced the fallback
-/// (cleared to empty when the analytic path ran).
-///
-/// Cancellation is polled once at entry (reproducing the simulators'
-/// instant-0 diagnostic for pre-cancelled tokens); a token that fires
-/// mid-construction is not observed — the analytic path does no
-/// per-instant work to poll from.
-Expected<FrustumInfo> detectFrustumAnalytic(const PetriNet &Net,
-                                            FiringPolicy *Policy = nullptr,
-                                            FrustumBudget Budget = {},
-                                            const CancelToken &Cancel = {},
-                                            FaultContext *Faults = nullptr,
-                                            std::string *FallbackReason =
-                                                nullptr);
-
 } // namespace sdsp
 
 #endif // SDSP_CORE_FRUSTUM_H

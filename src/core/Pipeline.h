@@ -79,16 +79,13 @@ enum class PipelineStage {
 
 /// Which frustum detector to run.  Fast is the incremental engine of
 /// petri/EarliestFiring.h; Reference is the retained naive oracle
-/// (petri/ReferenceEngine.h); Analytic constructs the steady state
-/// directly from critical-cycle analysis when the net qualifies
-/// (petri/AnalyticSteadyState.h) and falls back to Fast otherwise.
-/// All produce identical FrustumInfo (the golden-equivalence suite
-/// pins this), but they are distinct engines with distinct costs, so
-/// the session cache fingerprints the choice.
+/// (petri/ReferenceEngine.h).  Both produce identical FrustumInfo (the
+/// golden-equivalence suite pins this), but they are distinct engines
+/// with distinct costs, so the session cache fingerprints the choice;
+/// the explicit values keep those fingerprints stable.
 enum class FrustumEngine {
-  Fast,
-  Reference,
-  Analytic,
+  Fast = 0,
+  Reference = 1,
 };
 
 /// Everything the pipeline can be asked to do.

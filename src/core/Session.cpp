@@ -583,27 +583,12 @@ CompilationSession::frustumPass(const PetriNet &Net, uint64_t MachineHash,
           Trace->instant("simd-dispatch", "frustum");
           Trace->argStr("tier", simdTierName(activeSimdTier()));
         }
-        std::string FallbackReason;
-        Expected<FrustumInfo> F = [&]() -> Expected<FrustumInfo> {
-          switch (FO.Engine) {
-          case FrustumEngine::Reference:
-            return detectFrustumReference(Net, Policy.get(), Budget,
-                                          Cancel, Faults);
-          case FrustumEngine::Analytic:
-            return detectFrustumAnalytic(Net, Policy.get(), Budget, Cancel,
-                                         Faults, &FallbackReason);
-          case FrustumEngine::Fast:
-            break;
-          }
-          return detectFrustumChecked(Net, Policy.get(), Budget, Cancel,
-                                      Faults);
-        }();
-        if (Trace && !FallbackReason.empty()) {
-          // Make the fallback visible in captures: which bar forced the
-          // analytic engine back onto the simulator.
-          Trace->instant("analytic-fallback", "frustum");
-          Trace->argStr("reason", FallbackReason);
-        }
+        Expected<FrustumInfo> F =
+            FO.Engine == FrustumEngine::Reference
+                ? detectFrustumReference(Net, Policy.get(), Budget, Cancel,
+                                         Faults)
+                : detectFrustumChecked(Net, Policy.get(), Budget, Cancel,
+                                       Faults);
         if (!F)
           return F.status();
         if (Trace) {

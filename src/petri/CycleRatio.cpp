@@ -91,8 +91,7 @@ std::vector<TransitionId>
 verticesOnTightCycles(const MarkedGraphView &G,
                       const std::vector<int64_t> &Weight,
                       const std::vector<int64_t> &Pi,
-                      const std::vector<uint8_t> *Include = nullptr,
-                      TightCycleStructure *StructureOut = nullptr) {
+                      const std::vector<uint8_t> *Include = nullptr) {
   size_t N = G.numVertices();
   std::vector<std::vector<uint32_t>> TightOut(N);
   for (size_t EI = 0; EI < G.numEdges(); ++EI) {
@@ -177,23 +176,6 @@ verticesOnTightCycles(const MarkedGraphView &G,
     if (Nontrivial[SccId[V]])
       Result.push_back(TransitionId(V));
 
-  if (StructureOut) {
-    TightCycleStructure St;
-    for (size_t Id = 0; Id < SccSize.size(); ++Id)
-      if (Nontrivial[Id]) {
-        ++St.NumNontrivialSccs;
-        St.SccVertices += SccSize[Id];
-      }
-    // Tight edges internal to a nontrivial SCC.  Counting *edges*, not
-    // adjacency, matters: two parallel tight edges between the same
-    // vertex pair are two distinct critical cycles.
-    for (size_t V = 0; V < N; ++V)
-      for (uint32_t EI : TightOut[V])
-        if (SccId[G.edge(EI).To.index()] == SccId[V] &&
-            Nontrivial[SccId[V]])
-          ++St.SccEdges;
-    *StructureOut = St;
-  }
   return Result;
 }
 
@@ -230,11 +212,8 @@ sdsp::criticalCycleByEnumeration(const MarkedGraphView &G) {
   return Info;
 }
 
-namespace {
-
 std::optional<CriticalCycleInfo>
-parametricSearchImpl(const MarkedGraphView &G,
-                     TightCycleStructure *StructureOut) {
+sdsp::criticalCycleByParametricSearch(const MarkedGraphView &G) {
   // Start below every possible ratio so the first probe finds any cycle
   // at all (live nets have M(C) >= 1, so cycle weight Omega + M > 0
   // under lambda = -1).
@@ -262,7 +241,7 @@ parametricSearchImpl(const MarkedGraphView &G,
           Lambda.isZero() ? Rational(0) : Lambda.reciprocal();
       Info.Witness = *Witness;
       Info.CriticalTransitions =
-          verticesOnTightCycles(G, Weight, Dist, nullptr, StructureOut);
+          verticesOnTightCycles(G, Weight, Dist);
       return Info;
     }
     SimpleCycle C = makeCycle(G, *Cycle);
@@ -273,16 +252,8 @@ parametricSearchImpl(const MarkedGraphView &G,
   }
 }
 
-} // namespace
-
 std::optional<CriticalCycleInfo>
-sdsp::criticalCycleByParametricSearch(const MarkedGraphView &G) {
-  return parametricSearchImpl(G, nullptr);
-}
-
-std::optional<CriticalCycleInfo>
-sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
-                          TightCycleStructure *StructureOut) {
+sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut) {
   if (IterationsOut)
     *IterationsOut = 0;
   size_t N = G.numVertices();
@@ -432,7 +403,7 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
     if (Iterations > MaxIterations) {
       if (IterationsOut)
         *IterationsOut = 0;
-      return parametricSearchImpl(G, StructureOut);
+      return criticalCycleByParametricSearch(G);
     }
     bool AnyLam = false;
     for (size_t U = 0; U < N; ++U) {
@@ -527,7 +498,7 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
       Pi[V] = -Val[V];
     }
   Info.CriticalTransitions =
-      verticesOnTightCycles(G, Weight, Pi, &Include, StructureOut);
+      verticesOnTightCycles(G, Weight, Pi, &Include);
   return Info;
 }
 

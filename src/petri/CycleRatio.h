@@ -39,27 +39,6 @@
 
 namespace sdsp {
 
-/// Shape of the tight (critical) subgraph once a max-cycle-ratio solve
-/// has converged: the nontrivial strongly connected components of the
-/// edges that attain lambda*.  A live marked graph has a *unique*
-/// critical simple cycle exactly when that subgraph is one nontrivial
-/// SCC with as many tight edges as vertices (a single directed cycle;
-/// any chord, parallel tight edge, or second component adds an edge or
-/// a component without keeping the counts equal).  The analytic frustum
-/// engine gates on this.
-struct TightCycleStructure {
-  /// Number of SCCs that contain a cycle (size > 1, or a self-loop).
-  size_t NumNontrivialSccs = 0;
-  /// Total vertices across the nontrivial SCCs.
-  size_t SccVertices = 0;
-  /// Total tight edges internal to the nontrivial SCCs.
-  size_t SccEdges = 0;
-
-  bool singleSimpleCycle() const {
-    return NumNontrivialSccs == 1 && SccEdges == SccVertices;
-  }
-};
-
 /// The result of a critical-cycle query.
 struct CriticalCycleInfo {
   /// alpha* = Omega(C*)/M(C*); the cycle time of every transition.
@@ -101,13 +80,9 @@ criticalCycleByParametricSearch(const MarkedGraphView &G);
 /// graphs.  \p G must be live.  \p IterationsOut, when non-null,
 /// receives the number of policy-evaluation rounds performed (0 when
 /// the fallback ran) — surfaced as the `rate.howard.iterations` metric.
-/// \p StructureOut, when non-null, receives the shape of the tight
-/// subgraph at lambda* (filled by both the policy-iteration path and
-/// the parametric fallback).
 std::optional<CriticalCycleInfo>
 maxCycleRatioHoward(const MarkedGraphView &G,
-                    uint64_t *IterationsOut = nullptr,
-                    TightCycleStructure *StructureOut = nullptr);
+                    uint64_t *IterationsOut = nullptr);
 
 /// Convenience dispatcher: Howard's policy iteration for large graphs,
 /// enumeration (which also fills NumCriticalCycles and the full critical

@@ -13,34 +13,21 @@
 using namespace sdsp;
 
 MarkedGraphView::MarkedGraphView(const PetriNet &Net) : Net(Net) {
-  bool Ok = init();
-  assert(Ok && "net is not a marked graph");
-  (void)Ok;
-}
-
-bool MarkedGraphView::init() {
   Out.resize(Net.numTransitions());
   In.resize(Net.numTransitions());
   Edges.reserve(Net.numPlaces());
   for (PlaceId P : Net.placeIds()) {
     const PetriNet::Place &Pl = Net.place(P);
-    if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1)
-      return false;
+    if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1) {
+      assert(false && "net is not a marked graph");
+      return;
+    }
     Edge E{Pl.Producers.front(), Pl.Consumers.front(), P, Pl.InitialTokens};
     uint32_t Index = static_cast<uint32_t>(Edges.size());
     Edges.push_back(E);
     Out[E.From.index()].push_back(Index);
     In[E.To.index()].push_back(Index);
   }
-  return true;
-}
-
-std::optional<MarkedGraphView>
-MarkedGraphView::tryBuild(const PetriNet &Net) {
-  std::optional<MarkedGraphView> V(MarkedGraphView(Net, Unchecked{}));
-  if (!V->init())
-    V.reset();
-  return V;
 }
 
 bool sdsp::isMarkedGraph(const PetriNet &Net) {

@@ -46,12 +46,6 @@ public:
   /// Builds the view.  \p Net must satisfy isMarkedGraph(Net).
   explicit MarkedGraphView(const PetriNet &Net);
 
-  /// Fallible single-pass build: returns std::nullopt when \p Net is
-  /// not a marked graph instead of requiring a separate isMarkedGraph
-  /// pre-pass (which re-reads every place; at 10^5-10^6 transitions
-  /// the duplicate sweep is measurable).
-  static std::optional<MarkedGraphView> tryBuild(const PetriNet &Net);
-
   const PetriNet &net() const { return Net; }
 
   size_t numVertices() const { return Net.numTransitions(); }
@@ -70,14 +64,6 @@ public:
   }
 
 private:
-  struct Unchecked {};
-  MarkedGraphView(const PetriNet &Net, Unchecked) : Net(Net) {}
-
-  /// Builds the adjacency; false when a place breaks the one-producer/
-  /// one-consumer shape (the view is then partially built and must be
-  /// discarded).
-  bool init();
-
   const PetriNet &Net;
   std::vector<Edge> Edges;
   std::vector<std::vector<uint32_t>> Out;

@@ -10,8 +10,9 @@
 // with byte-identical results, corrupt objects degrade to recompute
 // (and are healed), an injected store:write fault skips the write
 // without poisoning the index, the byte budget evicts LRU objects, hit
-// recency survives a clean reopen, and a lost index is rebuilt by
-// scanning objects/.
+// recency survives a clean reopen, and the resident set always comes
+// from a scan of objects/ (a lost index, or one rewritten by another
+// store on the same directory, loses no object).
 //
 //===----------------------------------------------------------------------===//
 
@@ -120,6 +121,13 @@ void cachedPassCounts(const CompilationSession &S, uint64_t &Invocations,
     Invocations += S.passStats(static_cast<PassKind>(P)).Invocations;
     Hits += S.passStats(static_cast<PassKind>(P)).CacheHits;
   }
+}
+
+/// The lowered dataflow graph of kernel \p Id as a storable entry.
+ArtifactEntry lowerEntry(CompilationSession &S, const char *Id) {
+  auto G = S.lower(kernelSource(Id));
+  EXPECT_TRUE(bool(G));
+  return ArtifactEntry{G->ptr(), G->hash(), artifactSizeBytes(**G)};
 }
 
 size_t objectFileCount(const fs::path &Dir) {
@@ -374,11 +382,7 @@ TEST(ArtifactStoreTest, HitRefreshesRecencyAcrossCleanReopen) {
   // order, so the next process under a tight budget evicts the object
   // nobody read — not the one that was just hit.
   CompilationSession Lowering(SessionConfig{false});
-  auto entryFor = [&](const char *Id) {
-    auto G = Lowering.lower(kernelSource(Id));
-    EXPECT_TRUE(bool(G));
-    return ArtifactEntry{G->ptr(), G->hash(), artifactSizeBytes(**G)};
-  };
+  auto entryFor = [&](const char *Id) { return lowerEntry(Lowering, Id); };
   const uint32_t Lower = static_cast<uint32_t>(PassKind::Lower);
   ArtifactKey Hit{Lower, 1, 0}, Cold{Lower, 2, 0}, Late{Lower, 3, 0};
   TempDir Dir;
@@ -415,6 +419,43 @@ TEST(ArtifactStoreTest, HitRefreshesRecencyAcrossCleanReopen) {
   EXPECT_TRUE(Tight.contains(Hit));
   EXPECT_FALSE(Tight.contains(Cold));
   EXPECT_TRUE(Tight.contains(Late));
+}
+
+TEST(ArtifactStoreTest, TwoLiveStoresOnOneDirectoryKeepBothObjects) {
+  // Each store rewrites the index from its own view, so the second put
+  // drops the first store's entry from the file.  A reopen must still
+  // index both objects and count both against the byte budget.
+  CompilationSession Lowering(SessionConfig{false});
+  auto entryFor = [&](const char *Id) { return lowerEntry(Lowering, Id); };
+  const uint32_t Lower = static_cast<uint32_t>(PassKind::Lower);
+  ArtifactKey X{Lower, 1, 0}, Y{Lower, 2, 0}, Z{Lower, 3, 0};
+  TempDir Dir;
+  uint64_t XBytes = 0, YBytes = 0;
+  {
+    DiskStore A(DiskStore::Config{Dir.str(), 0});
+    DiskStore B(DiskStore::Config{Dir.str(), 0});
+    XBytes = A.put(X, entryFor("loop1"), nullptr);
+    YBytes = B.put(Y, entryFor("loop7"), nullptr);
+    ASSERT_GT(XBytes, 0u);
+    ASSERT_GT(YBytes, 0u);
+  }
+  ASSERT_EQ(objectFileCount(Dir.Path), 2u);
+  {
+    DiskStore Reopened(DiskStore::Config{Dir.str(), 0});
+    EXPECT_EQ(Reopened.entries(), 2u);
+    EXPECT_EQ(Reopened.bytes(), XBytes + YBytes);
+    EXPECT_TRUE(Reopened.contains(X));
+    EXPECT_TRUE(Reopened.contains(Y));
+  }
+  EXPECT_EQ(indexLineCount(Dir.Path), 2u);
+
+  // Under a budget that fits exactly the two, a third object must
+  // evict: both residents are charged.
+  DiskStore Tight(DiskStore::Config{Dir.str(), XBytes + YBytes});
+  EXPECT_EQ(Tight.bytes(), XBytes + YBytes);
+  ASSERT_GT(Tight.put(Z, entryFor("loop12"), nullptr), 0u);
+  EXPECT_GE(Tight.counters().Evictions, 1u);
+  EXPECT_EQ(objectFileCount(Dir.Path), Tight.entries());
 }
 
 TEST(ArtifactStoreTest, MissingIndexIsRebuiltByScanningObjects) {

@@ -13,8 +13,15 @@
 // firing counts, and the same diagnostics on failure.  This suite pins
 // that equivalence on the six Livermore loops of Section 5 (plain
 // SDSP-PN and SCP machine variants under FIFO and LIFO policies) and on
-// a 200-net fuzz corpus covering unit and non-unit execution times,
-// multi-token (non-safe) markings, and budget exhaustion.
+// seeded fuzz families covering unit and non-unit execution times,
+// chorded marked graphs, multi-token (non-safe) markings, and budgets
+// pinched around the repeat instant.
+//
+// The metamorphic suites at the end check both engines against the
+// paper's critical-cycle characterization (Sec. 4): scaling every
+// execution time by c scales alpha* and the frustum length by c,
+// relabeling the net through PNML changes neither, and adding a token
+// on a place off every critical cycle never lowers the rate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +33,12 @@
 #include "core/SdspPn.h"
 #include "livermore/Livermore.h"
 #include "loopir/Lowering.h"
+#include "petri/CycleRatio.h"
+#include "petri/Pnml.h"
 #include "gtest/gtest.h"
+
+#include <utility>
+#include <numeric>
 
 using namespace sdsp;
 using namespace sdsp::testutil;
@@ -150,6 +162,225 @@ TEST(GoldenEquivalence, BudgetDiagnosticsMatch) {
     expectGolden(Net, nullptr, nullptr, FrustumBudget::steps(3),
                  "budget-" + std::to_string(Case));
   }
+}
+
+/// The chorded fuzz family: every fifth net is a ring (token count
+/// 1-3, so some are multi-token), the rest are random live safe marked
+/// graphs with up to four chords (whose tied cycle ratios give several
+/// critical cycles).
+PetriNet fuzzNet(Rng &R, int Case) {
+  if (Case % 5 == 0)
+    return buildRing(static_cast<size_t>(3 + Case % 7),
+                     static_cast<uint32_t>(1 + Case % 3));
+  return buildRandomMarkedGraph(R, static_cast<size_t>(3 + Case % 10),
+                                static_cast<size_t>(Case % 5));
+}
+
+TEST(GoldenEquivalence, FuzzChordFamily) {
+  Rng R(0xa11a'11cull);
+  for (int Case = 0; Case < 200; ++Case)
+    expectGolden(fuzzNet(R, Case), "chord-fuzz-" + std::to_string(Case));
+}
+
+TEST(GoldenEquivalence, BudgetBoundaries) {
+  // Budgets pinched around the repeat instant: a budget of B steps
+  // samples instants 0..B, so RepeatTime steps is the least that
+  // succeeds and one fewer fails; the outcome, including the
+  // BudgetExceeded diagnostic, must match at every boundary.  Tiny
+  // budgets (1-3) pin the short-window accounting.
+  Rng R(0xb0d9'e7ull);
+  for (int Case = 0; Case < 24; ++Case) {
+    PetriNet Net = fuzzNet(R, Case);
+    std::string Label = "budget-edge-" + std::to_string(Case);
+    Expected<FrustumInfo> Full = detectFrustumReference(Net);
+    ASSERT_TRUE(Full.ok()) << Label;
+    TimeStep Rep = Full->RepeatTime;
+    EXPECT_TRUE(detectFrustumChecked(Net, nullptr,
+                                     FrustumBudget::steps(Rep)).ok())
+        << Label;
+    ASSERT_GT(Rep, 1u) << Label; // steps(0) would mean the theory bound.
+    EXPECT_FALSE(detectFrustumChecked(Net, nullptr,
+                                      FrustumBudget::steps(Rep - 1)).ok())
+        << Label;
+    for (TimeStep B = Rep > 3 ? Rep - 3 : 1; B <= Rep + 2; ++B)
+      expectGolden(Net, nullptr, nullptr, FrustumBudget::steps(B),
+                   Label + "/steps-" + std::to_string(B));
+    for (TimeStep B = 1; B <= 3; ++B)
+      expectGolden(Net, nullptr, nullptr, FrustumBudget::steps(B),
+                   Label + "/tiny-" + std::to_string(B));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Metamorphic relations, run on both engines.
+//===----------------------------------------------------------------------===//
+
+/// One net's observable steady state: the critical-cycle ratio alpha*
+/// (std::nullopt for an acyclic net) and each engine's frustum.
+struct SteadyState {
+  std::optional<Rational> CycleTime;
+  FrustumInfo Fast;
+  FrustumInfo Ref;
+};
+
+/// A budget far above the theory bound of every net below, so that
+/// scaled execution times never turn a success into BudgetExceeded.
+const FrustumBudget Generous = FrustumBudget::steps(1u << 22);
+
+SteadyState steadyState(const PetriNet &Net, const std::string &Label) {
+  SteadyState S;
+  if (auto Info = criticalCycle(MarkedGraphView(Net)))
+    S.CycleTime = Info->CycleTime;
+  Expected<FrustumInfo> Fast = detectFrustumChecked(Net, nullptr, Generous);
+  Expected<FrustumInfo> Ref = detectFrustumReference(Net, nullptr, Generous);
+  EXPECT_TRUE(Fast.ok()) << Label;
+  EXPECT_TRUE(Ref.ok()) << Label;
+  if (Fast)
+    S.Fast = std::move(*Fast);
+  if (Ref)
+    S.Ref = std::move(*Ref);
+  return S;
+}
+
+/// The metamorphic corpus: the six Livermore SDSP-PNs plus a slice of
+/// the chorded fuzz family.
+std::vector<std::pair<std::string, PetriNet>> metamorphicNets() {
+  std::vector<std::pair<std::string, PetriNet>> Nets;
+  for (const char *Id : LivermoreIds)
+    Nets.emplace_back(Id, compileLivermore(Id).Net);
+  Rng R(0x3e7a'4011ull);
+  for (int Case = 0; Case < 60; ++Case)
+    Nets.emplace_back("fuzz-" + std::to_string(Case), fuzzNet(R, Case));
+  return Nets;
+}
+
+TEST(Metamorphic, ScalingExecTimesScalesCycleTimeAndPeriod) {
+  for (auto &[Label, Net] : metamorphicNets()) {
+    SteadyState Base = steadyState(Net, Label);
+    for (TimeUnits C : {2u, 3u}) {
+      std::string L = Label + "/x" + std::to_string(C);
+      PetriNet Scaled = Net;
+      for (TransitionId T : Net.transitionIds())
+        Scaled.setExecTime(T, Net.transition(T).ExecTime * C);
+      SteadyState S = steadyState(Scaled, L);
+      ASSERT_EQ(Base.CycleTime.has_value(), S.CycleTime.has_value()) << L;
+      if (Base.CycleTime) {
+        EXPECT_EQ(*S.CycleTime, *Base.CycleTime * Rational(C)) << L;
+      }
+      EXPECT_EQ(S.Fast.length(), Base.Fast.length() * C) << L;
+      EXPECT_EQ(S.Ref.length(), Base.Ref.length() * C) << L;
+      EXPECT_EQ(S.Fast.FiringCounts, Base.Fast.FiringCounts) << L;
+      EXPECT_EQ(S.Ref.FiringCounts, Base.Ref.FiringCounts) << L;
+    }
+  }
+}
+
+/// \p Net with its transitions and places renumbered by random
+/// permutations; \p TPerm receives old transition index -> new index.
+PetriNet permuteNet(const PetriNet &Net, Rng &R,
+                    std::vector<uint32_t> &TPerm) {
+  // Shuffled(N)[New] is the old index that gets new index New.
+  auto Shuffled = [&](size_t N) {
+    std::vector<uint32_t> Order(N);
+    std::iota(Order.begin(), Order.end(), 0u);
+    for (size_t I = N; I > 1; --I)
+      std::swap(Order[I - 1], Order[static_cast<size_t>(
+                                  R.range(0, static_cast<int64_t>(I) - 1))]);
+    return Order;
+  };
+  std::vector<uint32_t> TOrder = Shuffled(Net.numTransitions());
+  std::vector<uint32_t> POrder = Shuffled(Net.numPlaces());
+  TPerm.assign(TOrder.size(), 0);
+  PetriNet Out;
+  for (uint32_t New = 0; New < TOrder.size(); ++New) {
+    TPerm[TOrder[New]] = New;
+    const PetriNet::Transition &T = Net.transition(TransitionId(TOrder[New]));
+    Out.addTransition(T.Name, T.ExecTime);
+  }
+  for (uint32_t Old : POrder) {
+    const PetriNet::Place &P = Net.place(PlaceId(Old));
+    PlaceId NewP = Out.addPlace(P.Name, P.InitialTokens);
+    for (TransitionId T : P.Producers)
+      Out.addArc(TransitionId(TPerm[T.index()]), NewP);
+    for (TransitionId T : P.Consumers)
+      Out.addArc(NewP, TransitionId(TPerm[T.index()]));
+  }
+  return Out;
+}
+
+/// \p Net exported to canonical PNML and read back.
+PetriNet viaPnml(const PetriNet &Net, const std::string &Label) {
+  Expected<PnmlNet> Parsed = parsePnml(pnmlString(Net, "net"));
+  EXPECT_TRUE(Parsed.ok()) << Label;
+  return Parsed ? std::move(Parsed->Net) : PetriNet();
+}
+
+TEST(Metamorphic, PnmlRelabelingPreservesRateAndPeriod) {
+  Rng R(0x9e2a'b1e5ull);
+  for (auto &[Label, Net] : metamorphicNets()) {
+    std::vector<uint32_t> TPerm;
+    PetriNet Relabeled = permuteNet(Net, R, TPerm);
+    SteadyState Base = steadyState(viaPnml(Net, Label), Label);
+    SteadyState S = steadyState(viaPnml(Relabeled, Label + "/perm"),
+                                Label + "/perm");
+    ASSERT_EQ(Base.CycleTime.has_value(), S.CycleTime.has_value()) << Label;
+    if (Base.CycleTime) {
+      EXPECT_EQ(*S.CycleTime, *Base.CycleTime) << Label;
+    }
+    for (auto [B, P] : {std::pair{&Base.Fast, &S.Fast},
+                        std::pair{&Base.Ref, &S.Ref}}) {
+      EXPECT_EQ(P->length(), B->length()) << Label;
+      EXPECT_EQ(P->StartTime, B->StartTime) << Label;
+      // Relabeling permutes the firing counts and nothing else: the
+      // frustum is the same up to isomorphism.
+      ASSERT_EQ(P->FiringCounts.size(), B->FiringCounts.size()) << Label;
+      for (size_t T = 0; T < TPerm.size(); ++T)
+        EXPECT_EQ(P->FiringCounts[TPerm[T]], B->FiringCounts[T])
+            << Label << " t" << T;
+    }
+  }
+}
+
+TEST(Metamorphic, TokenOnNonCriticalPlaceNeverLowersRate) {
+  size_t Probes = 0;
+  for (auto &[Label, Net] : metamorphicNets()) {
+    std::optional<CriticalCycleInfo> Info =
+        criticalCycle(MarkedGraphView(Net));
+    if (!Info)
+      continue;
+    std::vector<bool> Critical(Net.numTransitions(), false);
+    for (TransitionId T : Info->CriticalTransitions)
+      Critical[T.index()] = true;
+    // A place on a critical cycle has both endpoints critical, so a
+    // place with either endpoint off that set is certainly non-critical.
+    std::vector<PlaceId> Candidates;
+    for (PlaceId P : Net.placeIds()) {
+      const PetriNet::Place &Pl = Net.place(P);
+      if (!Critical[Pl.Producers.front().index()] ||
+          !Critical[Pl.Consumers.front().index()])
+        Candidates.push_back(P);
+    }
+    if (Candidates.empty())
+      continue;
+    SteadyState Base = steadyState(Net, Label);
+    for (PlaceId P : {Candidates.front(), Candidates[Candidates.size() / 2],
+                      Candidates.back()}) {
+      std::string L = Label + "/+p" + std::to_string(P.index());
+      PetriNet More = Net;
+      More.setInitialTokens(P, Net.place(P).InitialTokens + 1);
+      SteadyState S = steadyState(More, L);
+      ASSERT_TRUE(S.CycleTime.has_value()) << L;
+      EXPECT_LE(*S.CycleTime, *Base.CycleTime) << L;
+      TransitionId T0(0u);
+      EXPECT_GE(S.Fast.computationRate(T0), Base.Fast.computationRate(T0))
+          << L;
+      EXPECT_GE(S.Ref.computationRate(T0), Base.Ref.computationRate(T0))
+          << L;
+      ++Probes;
+    }
+  }
+  // Anti-vacuity: the corpus must actually offer non-critical places.
+  EXPECT_GE(Probes, 60u);
 }
 
 } // namespace

@@ -4,7 +4,9 @@
 # and the --batch-json report.  A second, warm-restart leg restarts the
 # daemon over the same --store-dir and asserts that (a) the remote
 # output does not change and (b) the restarted daemon served cacheable
-# passes from the persistent disk store (store.disk.hits > 0).
+# passes from the persistent disk store (store.disk.hits > 0).  With
+# SDSP_DISABLE_ARTIFACT_CACHE set (any value but empty or "0", as the
+# session reads it) (b) becomes the disabled contract: no disk hits.
 #
 # Unix only (the daemon speaks a Unix-domain socket).
 #
@@ -184,6 +186,17 @@ endif()
 stop_daemon(warm)
 
 file(READ ${SCRATCH}/metrics_warm.json WARM_METRICS)
+if(NOT "$ENV{SDSP_DISABLE_ARTIFACT_CACHE}" STREQUAL ""
+   AND NOT "$ENV{SDSP_DISABLE_ARTIFACT_CACHE}" STREQUAL "0")
+  if(WARM_METRICS MATCHES "\"store\\.disk\\.hits\": [1-9]")
+    die("the disk store served hits with the artifact cache disabled:\n"
+        "${WARM_METRICS}")
+  endif()
+  cleanup()
+  message(STATUS "remote determinism: all invocations byte-identical; "
+                 "artifact cache disabled, nothing served from disk")
+  return()
+endif()
 if(NOT WARM_METRICS MATCHES "\"store\\.disk\\.hits\": [1-9]")
   die("restarted daemon served nothing from the disk store:\n"
       "${WARM_METRICS}")

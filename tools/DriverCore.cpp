@@ -44,7 +44,7 @@ void driver::printUsage(std::ostream &OS) {
         "pnml-behavior|pnml-frustum)\n"
         "  --opt --capacity=N --unroll=U --scp=L --pipelines=K\n"
         "  --optimize-storage --budget=N "
-        "--engine=fast|reference|analytic\n"
+        "--engine=fast|reference\n"
         "  --rate-engine=auto|howard|enumerate\n"
         "  --timings --timings-json=FILE --trace=FILE "
         "--metrics-json=FILE\n"
@@ -146,11 +146,9 @@ ParseResult driver::parseArgs(const std::vector<std::string> &Args,
         Opts.Pipe.Engine = FrustumEngine::Fast;
       else if (E == "reference")
         Opts.Pipe.Engine = FrustumEngine::Reference;
-      else if (E == "analytic")
-        Opts.Pipe.Engine = FrustumEngine::Analytic;
       else {
         Err << "sdspc: invalid value '" << E
-            << "' for --engine (expected fast, reference, or analytic)\n";
+            << "' for --engine (expected fast or reference)\n";
         return ParseResult::Error;
       }
     } else if (const char *V = Value("--rate-engine=")) {

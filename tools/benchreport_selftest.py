@@ -47,7 +47,6 @@ def default_reports():
         "speedup_by_chains": {"682": 8.0, "65536": 30.0},
         "gate": dict(gate_common, speedup=8.0),
         "at_scale_gate": dict(gate_common, speedup=30.0),
-        "analytic_gate": dict(gate_common, speedup=12.0),
         "rate_gate": dict(gate_common, speedup=15.0),
     }
     pipeline = {"kernels": {"loop1": {"real_time_ns": 1000.0},
@@ -153,7 +152,7 @@ def test_skipped_gate_is_announced():
 
 def test_non_gating_pass_is_announced():
     def fresh(r):
-        for g in ("gate", "at_scale_gate", "analytic_gate", "rate_gate"):
+        for g in ("gate", "at_scale_gate", "rate_gate"):
             r["BENCH_frustum.json"][g]["gating"] = False
     out, err = run_compare(fresh)
     assert err is None
@@ -162,19 +161,19 @@ def test_non_gating_pass_is_announced():
 
 def test_non_gating_failure_is_not_enforced():
     def fresh(r):
-        r["BENCH_frustum.json"]["analytic_gate"].update({"pass": False,
+        r["BENCH_frustum.json"]["at_scale_gate"].update({"pass": False,
                                                         "gating": False})
     out, err = run_compare(fresh)
     assert err is None, "non-gating failure must not be enforced: %s" % err
-    assert "frustum analytic gate FAILED but is marked non-gating" in out
+    assert "frustum at-scale gate FAILED but is marked non-gating" in out
 
 
-def test_failing_analytic_gate_is_enforced():
+def test_failing_at_scale_gate_is_enforced():
     def fresh(r):
-        r["BENCH_frustum.json"]["analytic_gate"]["pass"] = False
+        r["BENCH_frustum.json"]["at_scale_gate"]["pass"] = False
     out, err = run_compare(fresh)
-    assert err is not None, "a failing analytic gate must fail the compare"
-    assert "frustum analytic gate failed" in str(err)
+    assert err is not None, "a failing at-scale gate must fail the compare"
+    assert "frustum at-scale gate failed" in str(err)
 
 
 def test_none_warm_speedup_names_the_real_defect():
@@ -221,6 +220,22 @@ def test_counter_drift_still_fails():
     out, err = run_compare(fresh)
     assert err is not None, "counter drift must fail the compare"
     assert "exact match required" in str(err)
+
+
+def test_repetitions_keep_each_arms_minimum():
+    # --repetitions captures list every arm once per repetition; the
+    # series must keep the fastest one, not whichever came last.
+    def run(t):
+        return {"name": "benchFrustumAtScale/682", "run_type": "iteration",
+                "real_time": t, "cpu_time": t, "iterations": 10}
+    report = {"benchmarks": [
+        run(300.0), run(120.0), run(250.0),
+        {"name": "benchFrustumAtScale/682_mean", "run_type": "aggregate",
+         "real_time": 1.0, "cpu_time": 1.0, "iterations": 3},
+    ]}
+    series = benchreport.series_of(report, "benchFrustumAtScale")
+    assert list(series) == ["benchFrustumAtScale/682"], series
+    assert series["benchFrustumAtScale/682"]["real_time_ns"] == 120.0
 
 
 def main():

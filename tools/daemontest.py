@@ -22,6 +22,10 @@ Four suites, each against a freshly started daemon on a scratch socket:
                 the disk store (store.disk.hits > 0, writes == 0) with
                 byte-identical client output.
 
+With SDSP_DISABLE_ARTIFACT_CACHE set (as the session reads it), the
+compute-once and persistence suites assert the disabled contract
+instead: no cache or disk hits, and still identical outputs.
+
 Exits nonzero with a diagnostic on the first violated invariant.
 """
 
@@ -80,6 +84,13 @@ class Daemon:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()
+
+
+def cache_disabled():
+    """Mirrors CompilationSession: any non-empty value but "0" turns the
+    artifact cache off process-wide, for the daemon we spawn too."""
+    value = os.environ.get("SDSP_DISABLE_ARTIFACT_CACHE", "")
+    return value not in ("", "0")
 
 
 def run(cmd, stdin_text=None, cwd=None):
@@ -162,6 +173,11 @@ def check_compute_once(sdspc, sdspd, scratch):
     if counters.get("daemon.requests") != 2:
         fail("expected 2 requests, metrics say %s"
              % counters.get("daemon.requests"))
+    if cache_disabled():
+        if counters.get("cache.hits", 0) != 0:
+            fail("cache hits with the artifact cache disabled: %s"
+                 % counters)
+        return
     # The second request replayed the first's artifacts from the shared
     # memory tier instead of recomputing.
     if counters.get("cache.hits", 0) < 1:
@@ -204,7 +220,7 @@ def check_persistence(sdspc, sdspd, scratch):
         d.stop()
     with open(m1) as f:
         c1 = json.load(f)["counters"]
-    if c1.get("store.disk.writes", 0) < 1:
+    if not cache_disabled() and c1.get("store.disk.writes", 0) < 1:
         fail("cold daemon wrote nothing to the store: %s" % c1)
 
     # The restarted daemon has an empty memory tier; only the disk
@@ -219,6 +235,10 @@ def check_persistence(sdspc, sdspd, scratch):
         fail("warm-restart output differs from cold output")
     with open(m2) as f:
         c2 = json.load(f)["counters"]
+    if cache_disabled():
+        if c2.get("store.disk.hits", 0) != 0:
+            fail("disk hits with the artifact cache disabled: %s" % c2)
+        return
     if c2.get("store.disk.hits", 0) < 1:
         fail("restarted daemon served nothing from disk: %s" % c2)
     if c2.get("store.disk.writes", 0) != 0:
