@@ -62,10 +62,7 @@ void printWalkthrough(std::ostream &OS) {
 
   OS << "\n--- Figure 1(g): time-optimal schedule ---\n";
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
-  std::vector<std::string> Names;
-  for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
-  Sched.print(OS, Names);
+  Sched.print(OS, Pn.Net);
   RateReport Rate = analyzeRate(Pn);
   OS << "achieved rate " << Sched.rate().str() << " = optimal "
      << Rate.OptimalRate.str() << " (cycle time alpha* = "

@@ -69,11 +69,8 @@ void printFigure(std::ostream &OS) {
   auto F = detectFrustum(Pn.Net);
   if (F) {
     SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
-    std::vector<std::string> Names;
-    for (TransitionId Tr : Pn.Net.transitionIds())
-      Names.push_back(Pn.Net.transition(Tr).Name);
     OS << "\n--- derived schedule ---\n";
-    Sched.print(OS, Names);
+    Sched.print(OS, Pn.Net);
     OS << "measured rate " << Sched.rate().str() << "\n\n";
   }
 }

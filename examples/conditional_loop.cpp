@@ -67,10 +67,7 @@ int main() {
             << Rate.OptimalRate << ")\n\n";
 
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
-  std::vector<std::string> Names;
-  for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
-  Sched.print(std::cout, Names);
+  Sched.print(std::cout, Pn.Net);
 
   // Execute: both branches are evaluated, dummies flow on the
   // unselected side, and the merge picks the live value.

@@ -70,10 +70,7 @@ int main() {
     return 1;
   }
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
-  std::vector<std::string> Names;
-  for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
-  Sched.print(std::cout, Names);
+  Sched.print(std::cout, Pn.Net);
 
   // Run 64 samples through the VM and a textbook biquad.
   const size_t N = 64;

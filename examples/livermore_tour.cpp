@@ -47,16 +47,13 @@ bool runKernel(CompilationSession &Session, const LivermoreKernel &K) {
             << F.computationRate(TransitionId(0u)) << " (optimal "
             << CL.Rate->OptimalRate << ")\n";
 
-  std::vector<std::string> Names;
-  for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
-  CL.Schedule->print(std::cout, Names);
+  CL.Schedule->print(std::cout, Pn.Net);
 
   // Semantic check: interpreter vs reference on random inputs.
   const size_t N = 48;
   StreamMap In = K.MakeInputs(N, 2026);
   StreamMap Expected = K.Reference(In, N);
-  InterpResult Got = interpret(CL.Graph, In, N);
+  InterpResult Got = interpret(*CL.Graph, In, N);
   for (const auto &[Name, Values] : Expected) {
     for (size_t I = 0; I < Values.size(); ++I) {
       double Diff = std::fabs(Got.Outputs.at(Name)[I] - Values[I]);

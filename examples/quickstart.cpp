@@ -100,16 +100,10 @@ int main() {
     return 1;
   }
   const SoftwarePipelineSchedule &SP = **Sched;
-  std::vector<std::string> Names;
-  std::vector<uint32_t> Taus;
-  for (TransitionId T : (*Pn)->Net.transitionIds()) {
-    Names.push_back((*Pn)->Net.transition(T).Name);
-    Taus.push_back((*Pn)->Net.transition(T).ExecTime);
-  }
-  SP.print(std::cout, Names);
+  SP.print(std::cout, (*Pn)->Net);
   std::cout << "\ntimeline (digits = iteration mod 10, | = kernel "
                "boundary):\n";
-  SP.printTimeline(std::cout, Names, Taus,
+  SP.printTimeline(std::cout, (*Pn)->Net,
                    SP.prologueEnd() + 4 * SP.kernelLength());
   std::cout << "\nrate achieved " << SP.rate() << " (optimal "
             << (*Rate)->OptimalRate << ")\n";

@@ -353,9 +353,8 @@ bool decodeRational(ByteReader &R, Rational &Out) {
 //===----------------------------------------------------------------------===//
 
 void encodeSchedule(const SoftwarePipelineSchedule &S, ByteWriter &W) {
-  // The per-transition index vectors are derived from the op lists in
-  // insertion order, so replaying addPrologueOp/addKernelOp in stored
-  // order reproduces the object exactly.
+  // The flat per-transition index is derived from the op lists, so
+  // storing the lists alone lets build() reproduce the object exactly.
   W.u64(S.numTransitions());
   W.u64(S.prologueEnd());
   W.u64(S.kernelLength());
@@ -380,38 +379,35 @@ bool decodeSchedule(ByteReader &R,
   uint64_t Start = R.u64();
   uint64_t Period = R.u64();
   uint32_t K = R.u32();
-  if (!R.ok() || Period < 1 || K < 1)
-    return false;
-  auto S = std::make_shared<SoftwarePipelineSchedule>(
-      static_cast<size_t>(NumTransitions), Start, Period, K);
-  std::vector<uint64_t> SeenIterations(NumTransitions, 0);
   uint64_t NumPrologue = R.seqLen(20);
   if (!R.ok())
     return false;
-  for (uint64_t I = 0; I < NumPrologue; ++I) {
-    uint64_t Time = R.u64();
-    uint32_t T = R.u32();
-    uint64_t Iteration = R.u64();
-    if (!R.ok() || T >= NumTransitions || Time >= Start ||
-        Iteration != SeenIterations[T])
-      return false;
-    S->addPrologueOp(Time, TransitionId(T), Iteration);
-    ++SeenIterations[T];
+  std::vector<SoftwarePipelineSchedule::PrologueOp> Prologue(NumPrologue);
+  for (auto &Op : Prologue) {
+    Op.Time = R.u64();
+    Op.T = TransitionId(R.u32());
+    Op.Iteration = R.u64();
   }
   uint64_t NumKernel = R.seqLen(16);
   if (!R.ok())
     return false;
-  for (uint64_t I = 0; I < NumKernel; ++I) {
-    uint32_t Slot = R.u32();
-    uint32_t T = R.u32();
-    uint64_t FirstIteration = R.u64();
-    if (!R.ok() || T >= NumTransitions || Slot >= Period ||
-        FirstIteration != SeenIterations[T])
-      return false;
-    S->addKernelOp(Slot, TransitionId(T), FirstIteration);
-    ++SeenIterations[T];
+  std::vector<SoftwarePipelineSchedule::KernelOp> Kernel(NumKernel);
+  for (auto &Op : Kernel) {
+    Op.Slot = R.u32();
+    Op.T = TransitionId(R.u32());
+    Op.FirstIteration = R.u64();
   }
-  Out = std::move(S);
+  if (!R.ok())
+    return false;
+  // build() rejects every malformed shape: out-of-range transitions,
+  // times or slots, iterations out of order, and a transition without
+  // exactly k kernel ops.
+  Expected<SoftwarePipelineSchedule> S = SoftwarePipelineSchedule::build(
+      static_cast<size_t>(NumTransitions), Start, Period, K,
+      std::move(Prologue), std::move(Kernel));
+  if (!S)
+    return false;
+  Out = std::make_shared<SoftwarePipelineSchedule>(std::move(*S));
   return true;
 }
 

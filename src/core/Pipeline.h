@@ -121,20 +121,53 @@ struct StorageOptSummary {
   Rational OptimalRate;
 };
 
+template <typename T> class ArtifactRef;
+
+/// Shared ownership of an immutable pipeline artifact.  Assigning a
+/// session artifact (a shared_ptr or an ArtifactRef) shares it without
+/// a copy; assigning a plain value copies it once into a new shared
+/// object.  Either way the artifact lives as long as any holder, so a
+/// CompiledLoop outlives the session and store that produced it.
+template <typename T> class Shared {
+public:
+  Shared() = default;
+  Shared(std::shared_ptr<const T> Value) : Value(std::move(Value)) {}
+  Shared(const ArtifactRef<T> &Ref) : Value(Ref.ptr()) {}
+
+  Shared &operator=(const T &V) {
+    Value = std::make_shared<const T>(V);
+    return *this;
+  }
+  Shared &operator=(T &&V) {
+    Value = std::make_shared<const T>(std::move(V));
+    return *this;
+  }
+
+  const T &operator*() const { return *Value; }
+  const T *operator->() const { return Value.get(); }
+  const T *get() const { return Value.get(); }
+  explicit operator bool() const { return Value != nullptr; }
+
+private:
+  std::shared_ptr<const T> Value;
+};
+
 /// The pipeline's product.  Fields are populated up to
 /// PipelineOptions::StopAfter; machineNet() picks the net the frustum
-/// was searched on.
+/// was searched on.  The artifacts are the session's own immutable
+/// objects, shared rather than copied.
 struct CompiledLoop {
-  DataflowGraph Graph;
+  Shared<DataflowGraph> Graph;
   TransformStats OptStats{};
   std::optional<StorageOptSummary> Storage;
-  std::optional<Sdsp> S;
-  std::optional<SdspPn> Pn;
-  std::optional<RateReport> Rate;
-  std::optional<ScpPn> Scp;
+  Shared<Sdsp> S;
+  Shared<SdspPn> Pn;
+  Shared<RateReport> Rate;
+  Shared<ScpPn> Scp;
+  /// The FIFO issue policy of the shared SCP model, for replays.
   std::unique_ptr<FifoPolicy> Policy;
-  std::optional<FrustumInfo> Frustum;
-  std::optional<SoftwarePipelineSchedule> Schedule;
+  Shared<FrustumInfo> Frustum;
+  Shared<SoftwarePipelineSchedule> Schedule;
   /// Whether the frustum appeared within the paper's empirical ~2n
   /// fast path ("BD"); the budget defaults to the far larger theorem
   /// bound.

@@ -15,6 +15,15 @@
 /// closed-form infinite schedule: iteration m of operation t runs at
 ///   prologue time                       (m among t's prologue firings)
 ///   Start + q*p + slot(t, r)            (m = prologue count + q*k + r).
+/// A StartCursor walks consecutive iterations of one operation with the
+/// same closed form but no division: r and q advance incrementally.
+///
+/// Besides the op lists (which define the content hash, the codec bytes
+/// and the printed kernel), a schedule stores a flat per-transition
+/// index: the prologue times of all transitions in one array with CSR
+/// offsets, and the kernel slots as one N x k array.  Both are built
+/// once, by build(), from the complete op lists; a schedule is
+/// immutable afterwards and safe to share across threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +33,8 @@
 #include "petri/EarliestFiring.h"
 #include "support/Rational.h"
 
+#include <cassert>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace sdsp {
@@ -50,8 +59,16 @@ public:
     uint64_t FirstIteration;
   };
 
-  SoftwarePipelineSchedule(size_t NumTransitions, TimeStep Start,
-                           TimeStep Period, uint32_t IterationsPerKernel);
+  /// The one construction path.  Validates that every op names one of
+  /// \p NumTransitions transitions, that prologue ops lie before
+  /// \p Start and kernel slots inside [0, \p Period), that each
+  /// transition's ops arrive in iteration order (prologue first), and
+  /// that every transition has exactly \p IterationsPerKernel kernel
+  /// ops.  Violations are InvalidInput.
+  static Expected<SoftwarePipelineSchedule>
+  build(size_t NumTransitions, TimeStep Start, TimeStep Period,
+        uint32_t IterationsPerKernel, std::vector<PrologueOp> Prologue,
+        std::vector<KernelOp> Kernel);
 
   TimeStep prologueEnd() const { return Start; }
   TimeStep kernelLength() const { return Period; }
@@ -67,9 +84,6 @@ public:
   /// time alpha of the paper).
   Rational initiationInterval() const { return rate().reciprocal(); }
 
-  void addPrologueOp(TimeStep Time, TransitionId T, uint64_t Iteration);
-  void addKernelOp(uint32_t Slot, TransitionId T, uint64_t FirstIteration);
-
   const std::vector<PrologueOp> &prologue() const { return Prologue; }
   const std::vector<KernelOp> &kernel() const { return Kernel; }
 
@@ -77,30 +91,90 @@ public:
   /// infinite unrolling of this schedule.
   TimeStep startTime(TransitionId T, uint64_t Iteration) const;
 
+  /// Start times of one transition's consecutive iterations, from a
+  /// given iteration on.  Only the constructor divides; next() steps
+  /// the (q, r) kernel position incrementally.
+  class StartCursor {
+  public:
+    StartCursor(const SoftwarePipelineSchedule &S, TransitionId T,
+                uint64_t Iteration)
+        : Pro(S.ProTimes.data() + S.ProOffsets[T.index()]),
+          NumPro(S.ProOffsets[T.index() + 1] - S.ProOffsets[T.index()]),
+          Slots(S.Slots.data() + T.index() * S.K), K(S.K), Start(S.Start),
+          Period(S.Period), M(Iteration) {
+      assert(T.index() < S.NumTransitions && "transition out of range");
+      if (M < NumPro) {
+        At = Pro[M];
+        return;
+      }
+      uint64_t J = M - NumPro;
+      R = static_cast<uint32_t>(J % K);
+      Base = Start + J / K * Period;
+      At = Base + Slots[R];
+    }
+
+    /// Start time of the current iteration.
+    TimeStep time() const { return At; }
+
+    /// Moves to the next iteration.
+    void next() {
+      if (++M < NumPro) {
+        At = Pro[M];
+        return;
+      }
+      if (M == NumPro) {
+        R = 0;
+        Base = Start;
+      } else if (++R == K) {
+        R = 0;
+        Base += Period;
+      }
+      At = Base + Slots[R];
+    }
+
+  private:
+    const TimeStep *Pro;
+    uint64_t NumPro;
+    const uint32_t *Slots;
+    uint32_t K;
+    TimeStep Start;
+    TimeStep Period;
+    uint64_t M;
+    /// Kernel position once M >= NumPro: slot index r and
+    /// Start + q * Period.
+    uint32_t R = 0;
+    TimeStep Base = 0;
+    TimeStep At = 0;
+  };
+
   /// Renders the kernel as a slot table ("A(i+1) D(i) | ..."), the
-  /// paper's Figure 1(g) form, using \p Names for the transitions.
-  void print(std::ostream &OS, const std::vector<std::string> &Names) const;
+  /// paper's Figure 1(g) form, naming transitions after \p Net.
+  void print(std::ostream &OS, const PetriNet &Net) const;
 
   /// Renders an ASCII Gantt view of the first \p Cycles cycles: one row
-  /// per transition, each firing drawn as its iteration number (mod 10)
-  /// repeated for its execution time.  Visualizes the prologue filling
-  /// and the kernel's iteration overlap.
-  void printTimeline(std::ostream &OS,
-                     const std::vector<std::string> &Names,
-                     const std::vector<uint32_t> &ExecTimes,
+  /// per transition of \p Net, each firing drawn as its iteration
+  /// number (mod 10) repeated for its execution time.  Visualizes the
+  /// prologue filling and the kernel's iteration overlap.
+  void printTimeline(std::ostream &OS, const PetriNet &Net,
                      TimeStep Cycles) const;
 
 private:
+  SoftwarePipelineSchedule(size_t NumTransitions, TimeStep Start,
+                           TimeStep Period, uint32_t IterationsPerKernel);
+
   size_t NumTransitions;
   TimeStep Start;
   TimeStep Period;
   uint32_t K;
   std::vector<PrologueOp> Prologue;
   std::vector<KernelOp> Kernel;
-  /// Per transition: prologue firing times (by iteration order).
-  std::vector<std::vector<TimeStep>> PrologueTimes;
-  /// Per transition: kernel slots in occurrence order.
-  std::vector<std::vector<uint32_t>> KernelSlots;
+  /// Transition t's prologue firing times, in iteration order, are
+  /// ProTimes[ProOffsets[t] .. ProOffsets[t + 1]).
+  std::vector<uint64_t> ProOffsets;
+  std::vector<TimeStep> ProTimes;
+  /// Transition t's kernel slots, in occurrence order, are
+  /// Slots[t * K .. (t + 1) * K).
+  std::vector<uint32_t> Slots;
 };
 
 } // namespace sdsp

@@ -7,6 +7,7 @@
 
 #include "core/ScheduleDerivation.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace sdsp;
@@ -37,18 +38,31 @@ sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
                                "x); net is not a marked graph?");
   }
 
-  SoftwarePipelineSchedule Sched(N, Frustum.StartTime, Frustum.length(), K);
+  size_t Firings = 0;
+  for (const StepRecord &Rec : Frustum.Trace)
+    Firings += Rec.Fired.size();
+  std::vector<SoftwarePipelineSchedule::PrologueOp> Prologue;
+  std::vector<SoftwarePipelineSchedule::KernelOp> Kernel;
+  Kernel.reserve(N * K);
+  Prologue.reserve(Firings - std::min(Firings, N * K));
   std::vector<uint64_t> Occurrence(N, 0);
   for (const StepRecord &Rec : Frustum.Trace) {
     for (TransitionId T : Rec.Fired) {
       uint64_t Iter = Occurrence[T.index()]++;
       if (Rec.Time < Frustum.StartTime)
-        Sched.addPrologueOp(Rec.Time, T, Iter);
+        Prologue.push_back({Rec.Time, T, Iter});
       else
-        Sched.addKernelOp(static_cast<uint32_t>(Rec.Time - Frustum.StartTime),
-                          T, Iter);
+        Kernel.push_back(
+            {static_cast<uint32_t>(Rec.Time - Frustum.StartTime), T, Iter});
     }
   }
+  Expected<SoftwarePipelineSchedule> Sched = SoftwarePipelineSchedule::build(
+      N, Frustum.StartTime, Frustum.length(), K, std::move(Prologue),
+      std::move(Kernel));
+  if (!Sched)
+    return Status::error(ErrorCode::InternalInvariant, "schedule",
+                         "frustum trace does not form a schedule: " +
+                             Sched.status().message());
   return Sched;
 }
 
@@ -66,38 +80,58 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
       *Error = Msg;
     return false;
   };
+  if (Sched.numTransitions() != Pn.Net.numTransitions())
+    return Fail("schedule covers " + std::to_string(Sched.numTransitions()) +
+                " transitions, the net has " +
+                std::to_string(Pn.Net.numTransitions()));
 
   auto Tau = [&](TransitionId T) -> uint64_t {
     return Pn.Net.transition(T).ExecTime;
   };
 
+  // The arc families check, for M = Lag .. CheckIterations - 1 in
+  // order, start(Late, M) >= start(Early, M - Lag) + Gap, walking both
+  // transitions' iterations with cursors (no division).  Returns the
+  // first violating M, or CheckIterations.
+  auto FirstViolation = [&](TransitionId Early, TransitionId Late,
+                            uint64_t Lag, uint64_t Gap) -> uint64_t {
+    if (Lag >= CheckIterations)
+      return CheckIterations;
+    SoftwarePipelineSchedule::StartCursor E(Sched, Early, 0);
+    SoftwarePipelineSchedule::StartCursor L(Sched, Late, Lag);
+    for (uint64_t M = Lag; M < CheckIterations; ++M, E.next(), L.next())
+      if (L.time() < E.time() + Gap)
+        return M;
+    return CheckIterations;
+  };
+
   // Non-reentrancy: firings of one transition are serialized.
   for (TransitionId T : Pn.Net.transitionIds()) {
+    uint64_t TauT = Tau(T);
+    SoftwarePipelineSchedule::StartCursor C(Sched, T, 0);
     for (uint64_t M = 1; M < CheckIterations; ++M) {
-      TimeStep Prev = Sched.startTime(T, M - 1);
-      TimeStep Cur = Sched.startTime(T, M);
-      if (Cur < Prev + Tau(T))
+      TimeStep Prev = C.time();
+      C.next();
+      if (C.time() < Prev + TauT)
         return Fail("transition " + Pn.Net.transition(T).Name +
                     " iterations " + std::to_string(M - 1) + "/" +
                     std::to_string(M) + " overlap");
     }
   }
 
-  // Data dependences.
+  // Data dependences: iteration m of V reads what iteration m - d of U
+  // produced.
   for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A))
       continue;
     const DataflowGraph::Arc &Arc = G.arc(A);
     TransitionId U = Pn.NodeToTransition[Arc.From.index()];
     TransitionId V = Pn.NodeToTransition[Arc.To.index()];
-    for (uint64_t M = Arc.Distance; M < CheckIterations; ++M) {
-      TimeStep Produced =
-          Sched.startTime(U, M - Arc.Distance) + Tau(U);
-      if (Sched.startTime(V, M) < Produced)
-        return Fail("dependence violated on arc " +
-                    G.node(Arc.From).Name + " -> " + G.node(Arc.To).Name +
-                    " at iteration " + std::to_string(M));
-    }
+    if (uint64_t M = FirstViolation(U, V, Arc.Distance, Tau(U));
+        M < CheckIterations)
+      return Fail("dependence violated on arc " + G.node(Arc.From).Name +
+                  " -> " + G.node(Arc.To).Name + " at iteration " +
+                  std::to_string(M));
   }
 
   // Buffer capacities: the producer at the head of each ack chain must
@@ -107,13 +141,11 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     TransitionId U = Pn.NodeToTransition[Head.From.index()];
     TransitionId V = Pn.NodeToTransition[Tail.To.index()];
-    for (uint64_t M = Ack.Slots; M < CheckIterations; ++M) {
-      TimeStep AckReady = Sched.startTime(V, M - Ack.Slots) + Tau(V);
-      if (Sched.startTime(U, M) < AckReady)
-        return Fail("capacity violated on ack " + G.node(Tail.To).Name +
-                    " -> " + G.node(Head.From).Name + " at iteration " +
-                    std::to_string(M));
-    }
+    if (uint64_t M = FirstViolation(V, U, Ack.Slots, Tau(V));
+        M < CheckIterations)
+      return Fail("capacity violated on ack " + G.node(Tail.To).Name +
+                  " -> " + G.node(Head.From).Name + " at iteration " +
+                  std::to_string(M));
   }
 
   return true;

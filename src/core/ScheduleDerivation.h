@@ -44,14 +44,19 @@ SoftwarePipelineSchedule deriveSchedule(const SdspPn &Pn,
 
 /// Independently validates \p Sched against the SDSP semantics over the
 /// first \p CheckIterations iterations:
+///   - non-reentrancy: consecutive firings of one transition are at
+///     least its execution time apart;
 ///   - dependence: iteration m of a consumer starts no earlier than
 ///     iteration m - d of its producer finishes, for every interior
 ///     data arc with distance d;
 ///   - capacity: a producer's iteration m waits for the ack of
-///     iteration m - slots of its chain's final consumer;
-///   - non-reentrancy: consecutive firings of one transition are at
-///     least its execution time apart.
-/// On failure returns false and describes the violation in \p Error.
+///     iteration m - slots of its chain's final consumer.
+/// The families run in that order, each constraint over m = its lag ..
+/// \p CheckIterations - 1 in increasing order, walking start times with
+/// SoftwarePipelineSchedule::StartCursor.  A schedule over another
+/// transition count than \p Pn's fails outright.
+/// On failure returns false and describes the first violation in
+/// \p Error.
 bool validateSchedule(const Sdsp &S, const SdspPn &Pn,
                       const SoftwarePipelineSchedule &Sched,
                       uint64_t CheckIterations, std::string *Error = nullptr);

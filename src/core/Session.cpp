@@ -831,7 +831,7 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
     CL.OptStats = (*T)->Stats;
     G = transformedGraph(*T);
   }
-  CL.Graph = *G;
+  CL.Graph = G;
   if (Opts.StopAfter == PipelineStage::Frontend)
     return finish(std::move(CL), Opts);
 
@@ -840,7 +840,7 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
       buildSdsp(G, Opts.Capacity, Opts.OptimizeStorage);
   if (!S)
     return S.status();
-  CL.S = (*S)->S;
+  CL.S = std::shared_ptr<const Sdsp>(S->ptr(), &(*S)->S);
   CL.Storage = (*S)->Storage;
   if (Opts.StopAfter == PipelineStage::Storage)
     return finish(std::move(CL), Opts);
@@ -849,11 +849,11 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
   Expected<ArtifactRef<SdspPn>> Pn = buildPn(*S);
   if (!Pn)
     return Pn.status();
-  CL.Pn = **Pn;
+  CL.Pn = *Pn;
   Expected<ArtifactRef<RateReport>> Rate = computeRate(*Pn, Opts.Rate);
   if (!Rate)
     return Rate.status();
-  CL.Rate = **Rate;
+  CL.Rate = *Rate;
   if (Opts.StopAfter == PipelineStage::Petri)
     return finish(std::move(CL), Opts);
 
@@ -866,7 +866,7 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
         buildScp(*Pn, Opts.ScpDepth, Opts.Pipelines);
     if (!Scp)
       return Scp.status();
-    CL.Scp = **Scp;
+    CL.Scp = *Scp;
     CL.Policy = CL.Scp->makeFifoPolicy();
     Expected<ArtifactRef<FrustumInfo>> FR = searchFrustum(*Scp, FO);
     if (!FR)
@@ -878,7 +878,7 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
       return FR.status();
     F = *FR;
   }
-  CL.Frustum = *F;
+  CL.Frustum = F;
   CL.FrustumWithinEmpiricalBound =
       CL.Frustum->withinEmpiricalBound(CL.machineNet().numTransitions());
   // The SCP model's product is its frustum pattern (Table 2); closed-
@@ -892,7 +892,7 @@ CompilationSession::compileFromGraph(ArtifactRef<DataflowGraph> G,
       deriveSchedule(*S, *Pn, F, Opts.ValidateIterations);
   if (!Sched)
     return Sched.status();
-  CL.Schedule = **Sched;
+  CL.Schedule = *Sched;
   return finish(std::move(CL), Opts);
 }
 

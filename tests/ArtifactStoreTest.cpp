@@ -10,14 +10,16 @@
 // with byte-identical results, corrupt objects degrade to recompute
 // (and are healed), an injected store:write fault skips the write
 // without poisoning the index, the byte budget evicts LRU objects, hit
-// recency survives a clean reopen, and the resident set always comes
+// recency survives a clean reopen, the resident set always comes
 // from a scan of objects/ (a lost index, or one rewritten by another
-// store on the same directory, loses no object).
+// store on the same directory, loses no object), and a schedule object
+// whose kernel is malformed decodes to nothing, so the store recomputes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ArtifactStore.h"
 
+#include "core/ArtifactCodec.h"
 #include "core/Session.h"
 #include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
@@ -87,10 +89,7 @@ std::string summarize(const CompiledLoop &CL) {
   std::ostringstream OS;
   OS << CL.Rate->OptimalRate << " [" << CL.Frustum->StartTime << ", "
      << CL.Frustum->RepeatTime << ")\n";
-  std::vector<std::string> Names;
-  for (TransitionId T : CL.Pn->Net.transitionIds())
-    Names.push_back(CL.Pn->Net.transition(T).Name);
-  CL.Schedule->print(OS, Names);
+  CL.Schedule->print(OS, CL.Pn->Net);
   return OS.str();
 }
 
@@ -519,6 +518,51 @@ TEST(ArtifactStoreTest, MemoryAndTieredStoresProduceIdenticalOutput) {
   auto R = Uncached.compile(kernelSource("loop5"), PO);
   ASSERT_TRUE(R) << R.status().str();
   EXPECT_EQ(summarize(*R), FromMemory);
+}
+
+//===----------------------------------------------------------------------===//
+// Schedule objects.
+//===----------------------------------------------------------------------===//
+
+/// The schedule codec's bytes for a 2-transition schedule with start 0,
+/// period 1 and k = 1: no prologue, and the kernel ops (slot 0, first
+/// iteration 0) of \p KernelTransitions.
+std::vector<uint8_t>
+scheduleBytes(const std::vector<uint32_t> &KernelTransitions) {
+  ByteWriter W;
+  W.u64(2); // transitions
+  W.u64(0); // kernel start
+  W.u64(1); // period p
+  W.u32(1); // iterations per kernel k
+  W.u64(0); // prologue ops
+  W.u64(KernelTransitions.size());
+  for (uint32_t T : KernelTransitions) {
+    W.u32(0); // slot
+    W.u32(T);
+    W.u64(0); // first iteration
+  }
+  return W.take();
+}
+
+std::shared_ptr<const void> decodeScheduleBytes(const std::vector<uint8_t> &B) {
+  ByteReader R(B);
+  return decodeArtifact(PassKind::Schedule, R);
+}
+
+TEST(ArtifactStoreTest, ScheduleDecodeRequiresKSlotsPerTransition) {
+  // Well formed: each transition holds exactly k = 1 kernel slot.
+  std::shared_ptr<const void> Good = decodeScheduleBytes(scheduleBytes({0, 1}));
+  ASSERT_NE(Good, nullptr);
+  const auto &S = *static_cast<const SoftwarePipelineSchedule *>(Good.get());
+  EXPECT_EQ(S.startTime(TransitionId(1u), 3), 3u);
+
+  // Transition 1 has no kernel slot: its start times are undefined, so
+  // the object must be rejected (the store then recomputes it).
+  EXPECT_EQ(decodeScheduleBytes(scheduleBytes({0})), nullptr);
+  // Right op count, wrong shape: transition 0 twice, transition 1 never.
+  EXPECT_EQ(decodeScheduleBytes(scheduleBytes({0, 0})), nullptr);
+  // One op too many.
+  EXPECT_EQ(decodeScheduleBytes(scheduleBytes({0, 1, 1})), nullptr);
 }
 
 } // namespace

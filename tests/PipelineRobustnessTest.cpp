@@ -55,9 +55,9 @@ void expectDiagnosticOrSchedule(const Expected<CompiledLoop> &Result,
   }
   const CompiledLoop &CL = *Result;
   EXPECT_TRUE(CL.Verified) << Context;
-  ASSERT_TRUE(CL.Schedule.has_value() || CL.Scp.has_value()) << Context;
-  ASSERT_TRUE(CL.Frustum.has_value()) << Context;
-  ASSERT_TRUE(CL.Rate.has_value()) << Context;
+  ASSERT_TRUE(bool(CL.Schedule) || bool(CL.Scp)) << Context;
+  ASSERT_TRUE(bool(CL.Frustum)) << Context;
+  ASSERT_TRUE(bool(CL.Rate)) << Context;
 }
 
 PipelineOptions randomOptions(Rng &R) {
@@ -244,16 +244,16 @@ TEST(PipelineRobustness, StopAfterStagesPopulateExactlyWhatTheyPromise) {
   Opts.StopAfter = PipelineStage::Petri;
   Expected<CompiledLoop> R = compileFresh(Src, Opts);
   ASSERT_TRUE(R.ok()) << R.status().str();
-  EXPECT_TRUE(R->Pn.has_value());
-  EXPECT_TRUE(R->Rate.has_value());
-  EXPECT_FALSE(R->Frustum.has_value());
-  EXPECT_FALSE(R->Schedule.has_value());
+  EXPECT_TRUE(bool(R->Pn));
+  EXPECT_TRUE(bool(R->Rate));
+  EXPECT_FALSE(bool(R->Frustum));
+  EXPECT_FALSE(bool(R->Schedule));
 
   Opts.StopAfter = PipelineStage::Frontend;
   Expected<CompiledLoop> R2 = compileFresh(Src, Opts);
   ASSERT_TRUE(R2.ok());
-  EXPECT_FALSE(R2->S.has_value());
-  EXPECT_FALSE(R2->Pn.has_value());
+  EXPECT_FALSE(bool(R2->S));
+  EXPECT_FALSE(bool(R2->Pn));
 }
 
 TEST(PipelineRobustness, VerifyCrossChecksFrustumAgainstCycleRatio) {

@@ -81,9 +81,11 @@ TEST(Schedule, ValidatorCatchesBrokenDependence) {
   // iteration, period 1 — dependences within an iteration must fail.
   Sdsp S = Sdsp::standard(buildL1());
   SdspPn Pn = buildSdspPn(S);
-  SoftwarePipelineSchedule Bad(Pn.Net.numTransitions(), 0, 1, 1);
+  std::vector<SoftwarePipelineSchedule::KernelOp> Kernel;
   for (TransitionId T : Pn.Net.transitionIds())
-    Bad.addKernelOp(0, T, 0);
+    Kernel.push_back({0, T, 0});
+  SoftwarePipelineSchedule Bad = SDSP_EXPECT_OK(SoftwarePipelineSchedule::build(
+      Pn.Net.numTransitions(), 0, 1, 1, {}, std::move(Kernel)));
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_FALSE(Error.empty());
@@ -94,11 +96,13 @@ TEST(Schedule, ValidatorRejectsRateAboveOptimal) {
   // either a dependence or an acknowledgement capacity breaks.
   Sdsp S = Sdsp::standard(buildL1());
   SdspPn Pn = buildSdspPn(S);
-  SoftwarePipelineSchedule Bad(Pn.Net.numTransitions(), 0, 2, 2);
+  std::vector<SoftwarePipelineSchedule::KernelOp> Kernel;
   for (TransitionId T : Pn.Net.transitionIds()) {
-    Bad.addKernelOp(0, T, 0);
-    Bad.addKernelOp(1, T, 1);
+    Kernel.push_back({0, T, 0});
+    Kernel.push_back({1, T, 1});
   }
+  SoftwarePipelineSchedule Bad = SDSP_EXPECT_OK(SoftwarePipelineSchedule::build(
+      Pn.Net.numTransitions(), 0, 2, 2, {}, std::move(Kernel)));
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
 }
@@ -119,12 +123,10 @@ TEST(Schedule, ValidatorCatchesPureCapacityViolation) {
   for (TransitionId T : Pn.Net.transitionIds())
     (Pn.Net.transition(T).Name == "u" ? TU : TV) = T;
 
-  SoftwarePipelineSchedule Bad(2, 1, 1, 1);
-  Bad.addPrologueOp(0, TU, 0);
-  Bad.addKernelOp(0, TV, 0); // v at 1, 2, 3, ...
-  // u's kernel occurrence: iteration 1 at time 1+0=1? addKernelOp slots
-  // are within [0,p); u iteration m at time 1 + (m-1).
-  Bad.addKernelOp(0, TU, 1);
+  // Prologue: u's iteration 0 at time 0.  Kernel (start 1, p = 1):
+  // v at 1, 2, 3, ... and u's iteration m at time 1 + (m - 1).
+  SoftwarePipelineSchedule Bad = SDSP_EXPECT_OK(SoftwarePipelineSchedule::build(
+      2, 1, 1, 1, {{0, TU, 0}}, {{0, TV, 0}, {0, TU, 1}}));
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_NE(Error.find("capacity"), std::string::npos) << Error;
@@ -132,14 +134,8 @@ TEST(Schedule, ValidatorCatchesPureCapacityViolation) {
 
 TEST(Schedule, TimelineShowsOverlappingIterations) {
   Derived D = derive(buildL2Direct());
-  std::vector<std::string> Names;
-  std::vector<uint32_t> Taus;
-  for (TransitionId T : D.Pn.Net.transitionIds()) {
-    Names.push_back(D.Pn.Net.transition(T).Name);
-    Taus.push_back(D.Pn.Net.transition(T).ExecTime);
-  }
   std::ostringstream OS;
-  D.Sched.printTimeline(OS, Names, Taus, 16);
+  D.Sched.printTimeline(OS, D.Pn.Net, 16);
   std::string Out = OS.str();
   // One row per transition plus the ruler.
   EXPECT_EQ(std::count(Out.begin(), Out.end(), '\n'), 6);
@@ -152,11 +148,8 @@ TEST(Schedule, TimelineShowsOverlappingIterations) {
 
 TEST(Schedule, PrintShowsKernelTable) {
   Derived D = derive(buildL1());
-  std::vector<std::string> Names;
-  for (TransitionId T : D.Pn.Net.transitionIds())
-    Names.push_back(D.Pn.Net.transition(T).Name);
   std::ostringstream OS;
-  D.Sched.print(OS, Names);
+  D.Sched.print(OS, D.Pn.Net);
   std::string Out = OS.str();
   EXPECT_NE(Out.find("kernel (p=2, k=1"), std::string::npos) << Out;
   EXPECT_NE(Out.find("A(i"), std::string::npos);

@@ -9,7 +9,8 @@
 // recomputes its upstream passes exactly once (the acceptance criterion
 // of the refactor), pipeline outputs are byte-identical with the cache
 // on and off across the Livermore kernels, a session's own store and a
-// caller-provided MemoryStore are interchangeable, and the trace
+// caller-provided MemoryStore are interchangeable, a CompiledLoop shares
+// the store's artifacts and outlives its session, and the trace
 // serializes to the documented JSON schema.
 //
 //===----------------------------------------------------------------------===//
@@ -25,6 +26,7 @@
 #include "gtest/gtest.h"
 
 #include <chrono>
+#include <optional>
 #include <sstream>
 
 using namespace sdsp;
@@ -59,10 +61,7 @@ std::string serializeOutputs(CompilationSession &S,
   EXPECT_TRUE(bool(Prog));
 
   std::ostringstream OS;
-  std::vector<std::string> Names;
-  for (TransitionId T : (*Pn)->Net.transitionIds())
-    Names.push_back((*Pn)->Net.transition(T).Name);
-  (*Sched)->print(OS, Names);
+  (*Sched)->print(OS, (*Pn)->Net);
   (*Prog)->print(OS);
   OS << emitC(**Prog, "kernel").Source;
   return OS.str();
@@ -81,9 +80,9 @@ TEST(SessionTest, DepthSweepRecomputesUpstreamExactlyOnce) {
     Expected<CompiledLoop> CL = S.compile(K.Source, Opts);
     ASSERT_TRUE(bool(CL)) << "depth " << Depth << ": "
                           << CL.status().str();
-    ASSERT_TRUE(CL->Scp.has_value());
+    ASSERT_TRUE(bool(CL->Scp));
     EXPECT_EQ(CL->Scp->PipelineDepth, Depth);
-    ASSERT_TRUE(CL->Frustum.has_value());
+    ASSERT_TRUE(bool(CL->Frustum));
   }
   for (PassKind PK : {PassKind::Lower, PassKind::Sdsp, PassKind::SdspPn,
                       PassKind::Rate}) {
@@ -259,6 +258,53 @@ TEST(SessionTest, ArtifactsOutliveTheSession) {
   EXPECT_NE(Pn.hash(), 0u);
 }
 
+TEST(SessionTest, CompiledLoopSharesTheStoredArtifacts) {
+  CompilationSession S(SessionConfig{true});
+  PipelineOptions PO;
+  Expected<CompiledLoop> CL = S.compile(kernel("loop7").Source, PO);
+  ASSERT_TRUE(bool(CL)) << CL.status().str();
+
+  // Re-running the passes hits the store, which hands back the very
+  // objects the compiled loop holds: nothing was copied.
+  auto G = S.lower(kernel("loop7").Source);
+  ASSERT_TRUE(bool(G));
+  auto Sd = S.buildSdsp(*G, PO.Capacity, PO.OptimizeStorage);
+  ASSERT_TRUE(bool(Sd));
+  auto Pn = S.buildPn(*Sd);
+  ASSERT_TRUE(bool(Pn));
+  auto F = S.searchFrustum(*Pn, FrustumOptions{});
+  ASSERT_TRUE(bool(F));
+  auto Sched = S.deriveSchedule(*Sd, *Pn, *F, PO.ValidateIterations);
+  ASSERT_TRUE(bool(Sched));
+  EXPECT_EQ(CL->Graph.get(), G->ptr().get());
+  EXPECT_EQ(CL->S.get(), &(*Sd)->S);
+  EXPECT_EQ(CL->Pn.get(), Pn->ptr().get());
+  EXPECT_EQ(CL->Frustum.get(), F->ptr().get());
+  EXPECT_EQ(CL->Schedule.get(), Sched->ptr().get());
+}
+
+TEST(SessionTest, CompiledLoopOutlivesSessionAndStore) {
+  PipelineOptions PO;
+  PO.Verify = true;
+  std::optional<CompiledLoop> CL;
+  std::string Printed;
+  {
+    // The session owns its private MemoryStore; both die here.
+    CompilationSession S(SessionConfig{true});
+    Expected<CompiledLoop> R = S.compile(kernel("loop9lcd").Source, PO);
+    ASSERT_TRUE(bool(R)) << R.status().str();
+    std::ostringstream OS;
+    R->Schedule->print(OS, R->Pn->Net);
+    Printed = OS.str();
+    CL.emplace(std::move(*R));
+  }
+  ASSERT_TRUE(CL->Verified);
+  EXPECT_TRUE(bool(verifyCompiledLoop(*CL, PO)));
+  std::ostringstream OS;
+  CL->Schedule->print(OS, CL->Pn->Net);
+  EXPECT_EQ(OS.str(), Printed);
+}
+
 //===----------------------------------------------------------------------===//
 // Cancellation and fault sites at the pass boundary
 // (docs/ROBUSTNESS.md).
@@ -325,11 +371,8 @@ TEST(SessionTest, TransientPassFaultRetriesCleanlyInTheSameSession) {
 
   // Byte-identical to the fault-free schedule.
   auto ScheduleText = [](const CompiledLoop &CL) {
-    std::vector<std::string> Names;
-    for (TransitionId T : CL.machineNet().transitionIds())
-      Names.push_back(CL.machineNet().transition(T).Name);
     std::ostringstream OS;
-    CL.Schedule->print(OS, Names);
+    CL.Schedule->print(OS, CL.machineNet());
     return OS.str();
   };
   EXPECT_EQ(ScheduleText(*Retry), ScheduleText(*Want));

@@ -481,7 +481,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
   }
 
   if (Opts.Emit == "dot-dataflow") {
-    CL.Graph.printDot(Out, "dataflow");
+    CL.Graph->printDot(Out, "dataflow");
     return {0, ErrorCode::Ok};
   }
 
@@ -568,9 +568,6 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
         << ", usage " << processorUsage(Scp, F) << "\n";
     if (Opts.Emit != "schedule")
       Err << "sdspc: --scp supports --emit=schedule only\n";
-    std::vector<std::string> Names;
-    for (TransitionId T : Scp.Net.transitionIds())
-      Names.push_back(Scp.Net.transition(T).Name);
     // Print the issue slots of SDSP transitions per kernel cycle.
     for (TimeStep T = F.StartTime; T < F.RepeatTime; ++T) {
       Out << "  t+" << (T - F.StartTime) << ":";
@@ -578,7 +575,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
         if (Rec.Time == T)
           for (TransitionId Fired : Rec.Fired)
             if (Scp.IsSdspTransition[Fired.index()])
-              Out << " " << Names[Fired.index()];
+              Out << " " << Scp.Net.transition(Fired).Name;
       Out << "\n";
     }
     return {0, ErrorCode::Ok};
@@ -599,16 +596,10 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
   }
 
   if (Opts.Emit == "schedule" || Opts.Emit == "timeline") {
-    std::vector<std::string> Names;
-    std::vector<uint32_t> Taus;
-    for (TransitionId T : Pn.Net.transitionIds()) {
-      Names.push_back(Pn.Net.transition(T).Name);
-      Taus.push_back(Pn.Net.transition(T).ExecTime);
-    }
-    Sched.print(Out, Names);
+    Sched.print(Out, Pn.Net);
     if (Opts.Emit == "timeline") {
       Out << "\n";
-      Sched.printTimeline(Out, Names, Taus,
+      Sched.printTimeline(Out, Pn.Net,
                           Sched.prologueEnd() + 4 * Sched.kernelLength());
     }
   } else if (Opts.Emit == "c") {
@@ -622,12 +613,12 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
     // Random input streams, deterministic per seed.
     Rng R(Opts.Seed);
     StreamMap In;
-    for (NodeId N : CL.Graph.nodeIds())
-      if (CL.Graph.node(N).Kind == OpKind::Input) {
+    for (NodeId N : CL.Graph->nodeIds())
+      if (CL.Graph->node(N).Kind == OpKind::Input) {
         std::vector<double> V(Opts.RunIterations);
         for (double &X : V)
           X = R.uniform() * 2.0 - 1.0;
-        In[CL.Graph.node(N).Name] = V;
+        In[CL.Graph->node(N).Name] = V;
       }
     VmResult Result = executeLoopProgram(*Program, In, Opts.RunIterations);
     Out << "executed " << Opts.RunIterations << " iterations in "
